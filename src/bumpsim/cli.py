@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from . import config as cfg
-from .ddpg import DdpgAgent
+from .ddpg import CheckpointError, DdpgAgent
 from .env import BumpEnv
 from .harness import (
     TrainConfig,
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (cfg.ConfigError, OSError, ValueError) as e:
+    except (cfg.ConfigError, CheckpointError, OSError, ValueError) as e:
         print(f"bumpsim {args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -369,6 +369,10 @@ class DdpgAgent:
                 doc = json.load(f)
         except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
+        if not isinstance(doc, dict):
+            raise CheckpointError(
+                f"checkpoint {path} must hold a JSON object, got {type(doc).__name__}"
+            )
         version = doc.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise FormatVersionMismatch(

@@ -161,13 +161,14 @@ class BumpEnv:
         )
         self._steps += 1
         self._t += self.episode.dt
-        obs = self._observe(action_prev=u_x)
+        # One model evaluation serves both the IMU channel and info.
+        z_ddot = derivatives(self._state, u_x, self.params, self._terrain).z_ddot
+        obs = self._observe(action_prev=u_x, z_ddot=z_ddot)
         r = reward(obs, self.reward_spec)
         self._done = (
             self._state.x >= self._terrain.track_length
             or self._steps >= self.episode.max_steps
         )
-        d = derivatives(self._state, u_x, self.params, self._terrain)
         info = {
             "t": self._t,
             "x": self._state.x,
@@ -175,13 +176,13 @@ class BumpEnv:
             "u_x": u_x,
             "z": self._state.z,
             "theta": self._state.theta,
-            "z_ddot_model": d.z_ddot,
+            "z_ddot_model": z_ddot,
             "p": obs.p,
         }
         return obs, r, self._done, info
 
-    def _observe(self, action_prev: float) -> Observation:
+    def _observe(self, action_prev: float, z_ddot: float | None = None) -> Observation:
         return observe(
             self._state, action_prev, self._terrain, self.camera, self.params,
-            noise=self.noise, rng=self._rng,
+            noise=self.noise, rng=self._rng, z_ddot=z_ddot,
         )

@@ -15,6 +15,7 @@ import socket
 import threading
 
 from .sensors import Observation
+from .vehicle import DynamicsError
 
 PROTOCOL_VERSION = 1
 OBS_SPEC = ["x_dot", "z_ddot_meas", "p"]
@@ -47,6 +48,13 @@ class RemoteEnvError(ProtocolError):
 
 def _error(code: str, message: str) -> dict:
     return {"type": "error", "code": code, "message": message}
+
+
+def _env_error(e: Exception) -> dict:
+    """In-band error for an exception the env raised while serving a request:
+    the session stays open and the client may reset."""
+    code = "DYNAMICS_ERROR" if isinstance(e, DynamicsError) else "BAD_REQUEST"
+    return _error(code, f"{type(e).__name__}: {e}")
 
 
 class EnvServer:
@@ -153,7 +161,10 @@ class EnvServer:
             seed = msg.get("seed")
             if seed is not None and not isinstance(seed, int):
                 return _error("BAD_REQUEST", "seed must be an integer"), False
-            obs = env.reset(seed=seed)
+            try:
+                obs = env.reset(seed=seed)
+            except (ValueError, DynamicsError) as e:
+                return _env_error(e), False
             return {
                 "type": "state",
                 "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas,
@@ -170,7 +181,10 @@ class EnvServer:
             if not isinstance(u_x, (int, float)) or isinstance(u_x, bool) \
                     or not math.isfinite(u_x):
                 return _error("BAD_REQUEST", "u_x must be a finite number"), False
-            obs, r, done, info = env.step(float(u_x))
+            try:
+                obs, r, done, info = env.step(float(u_x))
+            except (ValueError, DynamicsError) as e:
+                return _env_error(e), False
             return {
                 "type": "state",
                 "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .terrain import TerrainProfile
 from .vehicle import (
+    GRAVITY_NOMINAL,
     VehicleParams,
     VehicleState,
     measured_vertical_acceleration,
@@ -81,14 +82,22 @@ def preview(state: VehicleState, terrain: TerrainProfile,
 
 def observe(state: VehicleState, action_prev: float, terrain: TerrainProfile,
             cam: CameraSpec, params: VehicleParams,
-            noise: SensorNoise | None = None, rng=None) -> Observation:
-    """Assemble the observation vector; optional Gaussian noise on x_dot and z_ddot."""
+            noise: SensorNoise | None = None, rng=None,
+            z_ddot: float | None = None) -> Observation:
+    """Assemble the observation vector; optional Gaussian noise on x_dot and z_ddot.
+
+    z_ddot is the model heave acceleration at `state` under `action_prev`,
+    for a caller that has already evaluated it; otherwise it is computed here.
+    """
     x_dot = state.x_dot
-    z_ddot = measured_vertical_acceleration(state, action_prev, params, terrain)
+    if z_ddot is None:
+        z_ddot_meas = measured_vertical_acceleration(state, action_prev, params, terrain)
+    else:
+        z_ddot_meas = z_ddot + GRAVITY_NOMINAL
     p = preview(state, terrain, cam, params)
     if noise is not None and rng is not None:
         if noise.x_dot_std > 0.0:
             x_dot += noise.x_dot_std * rng.standard_normal()
         if noise.acc_std > 0.0:
-            z_ddot += noise.acc_std * rng.standard_normal()
-    return Observation(x_dot=x_dot, z_ddot_meas=z_ddot, p=p)
+            z_ddot_meas += noise.acc_std * rng.standard_normal()
+    return Observation(x_dot=x_dot, z_ddot_meas=z_ddot_meas, p=p)

@@ -36,6 +36,11 @@ class TerrainProfile:
 
     bumps: tuple[Bump, ...] = ()
     track_length: float = 10.0
+    # Per bump (mu, H, 2 sigma^2, sigma^2), fixed at construction. The
+    # variances stay divisors: multiplying by a stored reciprocal would round
+    # differently and move every result in its last bits.
+    _terms: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bumps", tuple(self.bumps))
@@ -44,23 +49,30 @@ class TerrainProfile:
                 raise ValueError(
                     f"bump center {b.center} outside track [0, {self.track_length}]"
                 )
+        object.__setattr__(self, "_terms", tuple(
+            (b.center, b.height, 2.0 * b.spread * b.spread, b.spread * b.spread)
+            for b in self.bumps
+        ))
+
+    def height_slope(self, x: float) -> tuple[float, float]:
+        """Road elevation g(x) = sum_j H_j exp(-(x - mu_j)^2 / (2 sigma_j^2))
+        and its analytic derivative g'(x), sharing one exp per bump."""
+        g = 0.0
+        g_x = 0.0
+        for mu, h, two_s2, s2 in self._terms:
+            d = x - mu
+            e = math.exp(-d * d / two_s2)
+            g += h * e
+            g_x += -h * d / s2 * e
+        return g, g_x
 
     def height(self, x: float) -> float:
-        """Road elevation g(x) = sum_j H_j exp(-(x - mu_j)^2 / (2 sigma_j^2))."""
-        total = 0.0
-        for b in self.bumps:
-            d = x - b.center
-            total += b.height * math.exp(-d * d / (2.0 * b.spread * b.spread))
-        return total
+        """Road elevation g(x)."""
+        return self.height_slope(x)[0]
 
     def slope(self, x: float) -> float:
         """Analytic derivative g'(x)."""
-        total = 0.0
-        for b in self.bumps:
-            d = x - b.center
-            s2 = b.spread * b.spread
-            total += -b.height * d / s2 * math.exp(-d * d / (2.0 * s2))
-        return total
+        return self.height_slope(x)[1]
 
     @property
     def max_bump_height(self) -> float:

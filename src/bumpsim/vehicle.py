@@ -101,36 +101,46 @@ def axle_kinematics(state: VehicleState, params: VehicleParams):
     return x1, x2, z1, z2
 
 
-def _derivatives_raw(x, x_dot, z, z_dot, theta, theta_dot, u_x, p: VehicleParams, terrain):
-    """Core equations of motion on unpacked scalars (hot path for RK4)."""
-    if not (-math.pi / 2 < theta < math.pi / 2):
-        raise PitchOutOfRange(f"|theta| must stay below pi/2, got {theta}")
-    s = math.sin(theta)
-    c = math.cos(theta)
-    x1 = x + p.L1 * c
-    x2 = x - p.L2 * c
-    # Road input at each wheel; both axles share the chassis forward speed.
-    zh1 = terrain.height(x1)
-    zh2 = terrain.height(x2)
-    zh1_dot = terrain.slope(x1) * x_dot
-    zh2_dot = terrain.slope(x2) * x_dot
-    # Suspension deflections from static equilibrium and their rates.
-    d1 = (z - p.L1 * s) - zh1
-    d2 = (z + p.L2 * s) - zh2
-    v1 = (z_dot - p.L1 * c * theta_dot) - zh1_dot
-    v2 = (z_dot + p.L2 * c * theta_dot) - zh2_dot
-    f1 = p.k1 * d1 + p.c1 * v1
-    f2 = p.k2 * d2 + p.c2 * v2
-    z_ddot = -(f1 + f2) / p.m
-    theta_ddot = c * (p.L1 * f1 - p.L2 * f2) / p.inertia
-    x_ddot = (u_x - x_dot) / p.tau
-    return (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
+def _accelerations(p: VehicleParams, terrain):
+    """Equations of motion with the parameters and the road bound once.
+
+    Returns acc(x, x_dot, z, z_dot, theta, theta_dot, u_x) ->
+    (x_ddot, z_ddot, theta_ddot) on unpacked scalars; the other three
+    components of the state derivative are the state's own rates.
+    """
+    L1, L2, k1, k2, c1, c2 = p.L1, p.L2, p.k1, p.k2, p.c1, p.c2
+    m, inertia, tau = p.m, p.inertia, p.tau
+    road = terrain.height_slope
+    sin, cos = math.sin, math.cos
+    half_pi = math.pi / 2
+
+    def acc(x, x_dot, z, z_dot, theta, theta_dot, u_x):
+        if not (-half_pi < theta < half_pi):
+            raise PitchOutOfRange(f"|theta| must stay below pi/2, got {theta}")
+        s = sin(theta)
+        c = cos(theta)
+        l1c = L1 * c
+        l2c = L2 * c
+        # Road height and slope at each wheel; both axles share the chassis
+        # forward speed.
+        zh1, g1 = road(x + l1c)
+        zh2, g2 = road(x - l2c)
+        # Suspension forces from the deflections (measured from static
+        # equilibrium) and their rates.
+        f1 = k1 * ((z - L1 * s) - zh1) + c1 * ((z_dot - l1c * theta_dot) - g1 * x_dot)
+        f2 = k2 * ((z + L2 * s) - zh2) + c2 * ((z_dot + l2c * theta_dot) - g2 * x_dot)
+        return (u_x - x_dot) / tau, -(f1 + f2) / m, c * (L1 * f1 - L2 * f2) / inertia
+
+    return acc
 
 
 def derivatives(state: VehicleState, u_x: float,
                 params: VehicleParams, terrain) -> StateDerivative:
     """Evaluate the equations of motion for a commanded velocity u_x."""
-    out = _derivatives_raw(*state.as_tuple(), u_x, params, terrain)
+    x, x_dot, z, z_dot, theta, theta_dot = state.as_tuple()
+    x_ddot, z_ddot, theta_ddot = _accelerations(params, terrain)(
+        x, x_dot, z, z_dot, theta, theta_dot, u_x)
+    out = (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
     if not all(math.isfinite(v) for v in out):
         raise NonFinite(f"non-finite derivative: {out}")
     return StateDerivative(*out)
@@ -144,25 +154,44 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     decays at ~1.3e3 1/s with the default parameters, outside RK4's stability
     region at a 120 Hz step. Observations still happen once per control
     period; the substeps are purely internal to the integrator.
+
+    Stage k_i is (x_dot_i, a_i, z_dot_i, b_i, theta_dot_i, c_i), where the
+    rates are those of the stage's state and (a_i, b_i, c_i) its
+    accelerations. Every update keeps the operation order of the textbook
+    form, y + (h/2) k and y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the unrolled
+    stages give the same bits as the tuple form that tests/test_vehicle.py
+    keeps as its reference.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     if not (substeps >= 1):
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     h = dt / substeps
-    y = state.as_tuple()
+    hh = 0.5 * h
+    h6 = h / 6.0
+    acc = _accelerations(params, terrain)
+    x, xd, z, zd, th, thd = state.as_tuple()
     for _ in range(substeps):
-        k1 = _derivatives_raw(*y, u_x, params, terrain)
-        y1 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-        k2 = _derivatives_raw(*y1, u_x, params, terrain)
-        y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-        k3 = _derivatives_raw(*y2, u_x, params, terrain)
-        y3 = tuple(a + h * b for a, b in zip(y, k3))
-        k4 = _derivatives_raw(*y3, u_x, params, terrain)
-        y = tuple(
-            a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        )
+        a1, b1, c1 = acc(x, xd, z, zd, th, thd, u_x)
+        xd1 = xd + hh * a1
+        zd1 = zd + hh * b1
+        thd1 = thd + hh * c1
+        a2, b2, c2 = acc(x + hh * xd, xd1, z + hh * zd, zd1, th + hh * thd, thd1, u_x)
+        xd2 = xd + hh * a2
+        zd2 = zd + hh * b2
+        thd2 = thd + hh * c2
+        a3, b3, c3 = acc(x + hh * xd1, xd2, z + hh * zd1, zd2, th + hh * thd1, thd2, u_x)
+        xd3 = xd + h * a3
+        zd3 = zd + h * b3
+        thd3 = thd + h * c3
+        a4, b4, c4 = acc(x + h * xd2, xd3, z + h * zd2, zd3, th + h * thd2, thd3, u_x)
+        x = x + h6 * (xd + 2.0 * xd1 + 2.0 * xd2 + xd3)
+        z = z + h6 * (zd + 2.0 * zd1 + 2.0 * zd2 + zd3)
+        th = th + h6 * (thd + 2.0 * thd1 + 2.0 * thd2 + thd3)
+        xd = xd + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        zd = zd + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        thd = thd + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+    y = (x, xd, z, zd, th, thd)
     if not all(math.isfinite(v) for v in y):
         raise NonFinite(f"non-finite state after RK4 step: {y}")
     return VehicleState(*y)

@@ -105,6 +105,14 @@ class TestEvalCommand:
                      "--out", str(out)]) == 0
         assert (out / "policy_episode_0.csv").exists()
 
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '{"format_version": 0}'])
+    def test_bad_checkpoint_exits_1(self, tiny_config, tmp_path, capsys, text):
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(text)
+        assert main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 1
+        assert "checkpoint" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_writes_expected_rows(self, tiny_config, tmp_path):

@@ -15,6 +15,7 @@ from bumpsim.protocol import (
     RemoteEnvError,
     VersionMismatch,
 )
+from bumpsim.terrain import Bump, TerrainProfile
 
 
 def make_env():
@@ -151,6 +152,33 @@ class TestErrors:
             assert resp["type"] == "error", line
             assert resp["code"] in ("BAD_REQUEST", "NOT_RESET")
         sock.close()
+
+    def test_env_error_on_reset_keeps_session_alive(self, server):
+        # An invalid seed used to raise inside the session handler and kill
+        # the server thread.
+        with RemoteEnv(server.address) as env:
+            with pytest.raises(RemoteEnvError) as exc:
+                env.reset(seed=-1)
+            assert exc.value.code == "BAD_REQUEST"
+            env.reset(seed=0)
+            env.step(1.0)
+        with RemoteEnv(server.address) as env:
+            env.reset(seed=1)
+
+    def test_dynamics_error_is_in_band(self):
+        # A bump this tall makes the road slope overflow at the first wheel.
+        track = TerrainProfile(bumps=(Bump(1e308, 0.2, 0.01),), track_length=1.0)
+        s = EnvServer(lambda: BumpEnv(episode=EpisodeConfig(fixed_track=track)),
+                      port=0).start()
+        try:
+            with RemoteEnv(s.address) as env:
+                for _ in range(2):
+                    with pytest.raises(RemoteEnvError) as exc:
+                        env.reset(seed=0)
+                    assert exc.value.code == "DYNAMICS_ERROR"
+                    assert "NonFinite" in exc.value.message
+        finally:
+            s.shutdown()
 
     def test_nan_action_rejected(self, server):
         sock, reader = raw_session(server.address)
