@@ -8,7 +8,6 @@ from .terrain import Bump, TerrainProfile, TrackSpec, random_track
 from .vehicle import (
     VehicleParams,
     VehicleState,
-    axle_kinematics,
     derivatives,
     measured_vertical_acceleration,
     step_rk4,

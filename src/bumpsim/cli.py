@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
+from dataclasses import astuple
 
 from . import config as cfg
 from .ddpg import CheckpointError, DdpgAgent
 from .env import BumpEnv
 from .harness import (
-    TrainConfig,
+    METRICS_CSV_HEADER,
     compare_rewards,
     constant_policy,
     evaluate,
@@ -35,17 +34,12 @@ def _echo_config(resolved: dict, out_dir: str):
     cfg.echo(resolved, os.path.join(out_dir, "resolved_config.json"))
 
 
-def _train_config(resolved: dict, out_dir: str | None) -> TrainConfig:
-    t = resolved["train"]
-    return TrainConfig(
-        episodes=t["episodes"], seed=t["seed"],
+def _env(resolved: dict) -> BumpEnv:
+    return BumpEnv(
         params=cfg.vehicle_params(resolved),
         camera=cfg.camera_spec(resolved),
         reward_spec=cfg.reward_spec(resolved),
         episode=cfg.episode_config(resolved),
-        agent=cfg.agent_config(resolved),
-        out_dir=out_dir,
-        checkpoint_interval=t["checkpoint_interval"],
     )
 
 
@@ -54,8 +48,9 @@ def cmd_train(args) -> int:
     resolved["train"]["seed"] = args.seed
     if args.episodes is not None:
         resolved["train"]["episodes"] = args.episodes
+    config = cfg.train_config(resolved, args.out)
     _echo_config(resolved, args.out)
-    train(_train_config(resolved, args.out))
+    train(config)
     return 0
 
 
@@ -65,29 +60,18 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return 1
     resolved = _load_resolved(args.config)
-    _echo_config(resolved, args.out)
-    env = BumpEnv(
-        params=cfg.vehicle_params(resolved),
-        camera=cfg.camera_spec(resolved),
-        reward_spec=cfg.reward_spec(resolved),
-        episode=cfg.episode_config(resolved),
-    )
+    env = _env(resolved)
     if args.checkpoint is not None:
         policy = DdpgAgent.load(args.checkpoint).act
         tag = "policy"
     else:
         policy = constant_policy(args.constant_velocity)
         tag = "open_loop"
+    _echo_config(resolved, args.out)
     metrics, _ = evaluate(policy, env, episodes=args.episodes,
                           out_dir=args.out, tag=tag)
-    write_csv(
-        os.path.join(args.out, "eval_metrics.csv"),
-        ["peak_abs_acc_dev", "rmse_acc_dev", "rmse_vel_tracking",
-         "mean_velocity", "episode_return"],
-        [[metrics.peak_abs_acc_dev, metrics.rmse_acc_dev,
-          metrics.rmse_vel_tracking, metrics.mean_velocity,
-          metrics.episode_return]],
-    )
+    write_csv(os.path.join(args.out, "eval_metrics.csv"), METRICS_CSV_HEADER,
+              [astuple(metrics)])
     return 0
 
 
@@ -99,16 +83,14 @@ def cmd_sweep(args) -> int:
         print("sweep: --max must be >= --min", file=sys.stderr)
         return 1
     resolved = _load_resolved(args.config)
-    _echo_config(resolved, args.out)
     n = int(round((args.max - args.min) / args.step)) + 1
     velocities = [args.min + i * args.step for i in range(n)]
-    track = cfg.fixed_track(resolved) or single_bump_track()
+    env = _env(resolved)
+    track = env.episode.fixed_track or single_bump_track()
+    _echo_config(resolved, args.out)
     sweep_velocities(
-        velocities,
-        params=cfg.vehicle_params(resolved),
-        camera=cfg.camera_spec(resolved),
-        reward_spec=cfg.reward_spec(resolved),
-        track=track,
+        velocities, params=env.params, camera=env.camera,
+        reward_spec=env.reward_spec, track=track,
         out_path=os.path.join(args.out, "sweep.csv"),
     )
     return 0
@@ -116,9 +98,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     resolved = _load_resolved(args.config)
-    _echo_config(resolved, args.out)
     seeds = [int(s) for s in args.seeds.split(",")]
-    base = _train_config(resolved, None)
+    base = cfg.train_config(resolved, None)
+    _echo_config(resolved, args.out)
     compare_rewards(base, seeds, out_dir=args.out)
     return 0
 
@@ -126,16 +108,8 @@ def cmd_compare(args) -> int:
 def cmd_serve(args) -> int:
     resolved = _load_resolved(args.config)
     host, _, port = args.addr.partition(":")
-
-    def factory():
-        return BumpEnv(
-            params=cfg.vehicle_params(resolved),
-            camera=cfg.camera_spec(resolved),
-            reward_spec=cfg.reward_spec(resolved),
-            episode=cfg.episode_config(resolved),
-        )
-
-    serve(factory, host=host or "127.0.0.1", port=int(port or 5890))
+    serve(lambda: _env(resolved), host=host or "127.0.0.1",
+          port=int(port or 5890))
     return 0
 
 

@@ -65,6 +65,11 @@ class AgentConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if not (0.0 < self.tau_soft <= 1.0):
             raise ValueError("tau_soft must lie in (0, 1]")
+        if not (1 <= self.batch_size <= self.buffer_capacity):
+            raise ValueError(
+                f"need 1 <= batch_size ({self.batch_size}) <= buffer_capacity "
+                f"({self.buffer_capacity})"
+            )
 
 
 class Mlp:
@@ -378,9 +383,6 @@ class DdpgAgent:
             raise FormatVersionMismatch(
                 f"checkpoint version {version!r} != supported {CHECKPOINT_VERSION}"
             )
-        cfg_doc = dict(doc["config"])
-        cfg_doc["hidden_sizes"] = tuple(cfg_doc["hidden_sizes"])
-        agent = cls(AgentConfig(**cfg_doc))
 
         def load_net(m: Mlp, d):
             m.weights = [np.array(w) for w in d["weights"]]
@@ -393,6 +395,9 @@ class DdpgAgent:
             o.v = [np.array(a) for a in d["v"]]
 
         try:
+            cfg_doc = dict(doc["config"])
+            cfg_doc["hidden_sizes"] = tuple(cfg_doc["hidden_sizes"])
+            agent = cls(AgentConfig(**cfg_doc))
             load_net(agent.actor, doc["actor"])
             load_net(agent.critic, doc["critic"])
             load_net(agent.target_actor, doc["target_actor"])
@@ -402,6 +407,6 @@ class DdpgAgent:
             agent.noise.variance = doc["noise"]["variance"]
             agent.noise.value = doc["noise"]["value"]
             agent.episode_count = doc["episode_count"]
-        except KeyError as e:
-            raise CheckpointError(f"checkpoint {path} missing field {e}") from e
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
         return agent

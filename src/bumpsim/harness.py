@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class Metrics:
     episode_return: float
 
 
+METRICS_CSV_HEADER = [f.name for f in fields(Metrics)]
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything needed to reproduce a training run."""
@@ -57,6 +60,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.episodes > 0):
             raise ValueError("episodes must be positive")
+        # train() starts updating after warmup_steps + 1 stored transitions.
+        if self.agent.warmup_steps + 1 < self.agent.batch_size:
+            raise ValueError(
+                f"agent.warmup_steps + 1 ({self.agent.warmup_steps + 1}) must be "
+                f">= agent.batch_size ({self.agent.batch_size})"
+            )
 
 
 @dataclass
@@ -95,15 +104,15 @@ def metrics_from_trace(acc_meas, x_dot, rewards, x_dot_d: float) -> Metrics:
     )
 
 
+def _mean_metrics(ms) -> Metrics:
+    """Field-wise mean."""
+    return Metrics(*(float(np.mean(column)) for column in zip(*map(astuple, ms))))
+
+
 def aggregate_metrics(per_episode) -> Metrics:
     """Worst-case peak, mean of everything else."""
-    return Metrics(
-        peak_abs_acc_dev=max(m.peak_abs_acc_dev for m in per_episode),
-        rmse_acc_dev=float(np.mean([m.rmse_acc_dev for m in per_episode])),
-        rmse_vel_tracking=float(np.mean([m.rmse_vel_tracking for m in per_episode])),
-        mean_velocity=float(np.mean([m.mean_velocity for m in per_episode])),
-        episode_return=float(np.mean([m.episode_return for m in per_episode])),
-    )
+    peak = max(m.peak_abs_acc_dev for m in per_episode)
+    return replace(_mean_metrics(per_episode), peak_abs_acc_dev=peak)
 
 
 def constant_policy(u_x: float):
@@ -256,20 +265,12 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
         m, _ = rollout(env, constant_policy(v), seed=0)
         rows.append((v, m))
     if out_path is not None:
-        write_csv(
-            out_path,
-            ["velocity", "peak_abs_acc_dev", "rmse_acc_dev",
-             "rmse_vel_tracking", "mean_velocity", "episode_return"],
-            [[v, m.peak_abs_acc_dev, m.rmse_acc_dev, m.rmse_vel_tracking,
-              m.mean_velocity, m.episode_return] for v, m in rows],
-        )
+        write_csv(out_path, ["velocity", *METRICS_CSV_HEADER],
+                  [[v, *astuple(m)] for v, m in rows])
     return rows
 
 
-COMPARISON_CSV_HEADER = [
-    "variant", "seed", "peak_abs_acc_dev", "rmse_acc_dev",
-    "rmse_vel_tracking", "mean_velocity", "episode_return",
-]
+COMPARISON_CSV_HEADER = ["variant", "seed", *METRICS_CSV_HEADER]
 
 
 def compare_rewards(base: TrainConfig, seeds,
@@ -311,31 +312,15 @@ def compare_rewards(base: TrainConfig, seeds,
         assert all(a == first for a in audits.values()), \
             "episode seed sequences diverged across variants"
 
-    aggregates = []
-    for variant in REWARD_VARIANTS:
-        ms = [m for v, _, m in rows if v == variant]
-        mean = Metrics(
-            peak_abs_acc_dev=float(np.mean([m.peak_abs_acc_dev for m in ms])),
-            rmse_acc_dev=float(np.mean([m.rmse_acc_dev for m in ms])),
-            rmse_vel_tracking=float(np.mean([m.rmse_vel_tracking for m in ms])),
-            mean_velocity=float(np.mean([m.mean_velocity for m in ms])),
-            episode_return=float(np.mean([m.episode_return for m in ms])),
-        )
-        aggregates.append((variant, "mean", mean))
+    aggregates = [
+        (variant, "mean", _mean_metrics(m for v, _, m in rows if v == variant))
+        for variant in REWARD_VARIANTS
+    ]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        all_rows = [
-            [v, s, m.peak_abs_acc_dev, m.rmse_acc_dev, m.rmse_vel_tracking,
-             m.mean_velocity, m.episode_return]
-            for v, s, m in rows
-        ] + [
-            [v, s, m.peak_abs_acc_dev, m.rmse_acc_dev, m.rmse_vel_tracking,
-             m.mean_velocity, m.episode_return]
-            for v, s, m in aggregates
-        ]
-        write_csv(os.path.join(out_dir, "comparison.csv"),
-                  COMPARISON_CSV_HEADER, all_rows)
+        write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_CSV_HEADER,
+                  [[v, s, *astuple(m)] for v, s, m in rows + aggregates])
         with open(os.path.join(out_dir, "comparison.txt"), "w") as f:
             f.write(format_comparison_table(rows, aggregates))
     return {"rows": rows, "aggregates": aggregates, "seed_audit": seed_audit}

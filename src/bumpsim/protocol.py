@@ -14,6 +14,7 @@ import math
 import socket
 import threading
 
+from .env import EnvNotReset
 from .sensors import Observation
 from .vehicle import DynamicsError
 
@@ -116,7 +117,6 @@ class EnvServer:
 
     def _handle_session(self, conn: socket.socket):
         env = self._env_factory()
-        has_reset = False
         reader = conn.makefile("rb")
         try:
             for raw in reader:
@@ -125,10 +125,7 @@ class EnvServer:
                 line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
-                response, closing = self._respond(env, line, has_reset)
-                if response.get("_mark_reset"):
-                    has_reset = True
-                    del response["_mark_reset"]
+                response, closing = self._respond(env, line)
                 conn.sendall((json.dumps(response) + "\n").encode())
                 if closing:
                     return
@@ -137,7 +134,7 @@ class EnvServer:
         finally:
             reader.close()
 
-    def _respond(self, env, line: str, has_reset: bool):
+    def _respond(self, env, line: str):
         try:
             msg = json.loads(line)
         except json.JSONDecodeError:
@@ -172,17 +169,16 @@ class EnvServer:
                 "reward": None,
                 "done": False,
                 "info": {},
-                "_mark_reset": True,
             }, False
         if kind == "step":
-            if not has_reset:
-                return _error("NOT_RESET", "step before reset"), False
             u_x = msg.get("u_x")
             if not isinstance(u_x, (int, float)) or isinstance(u_x, bool) \
                     or not math.isfinite(u_x):
                 return _error("BAD_REQUEST", "u_x must be a finite number"), False
             try:
                 obs, r, done, info = env.step(float(u_x))
+            except EnvNotReset:
+                return _error("NOT_RESET", "step before reset"), False
             except (ValueError, DynamicsError) as e:
                 return _env_error(e), False
             return {

@@ -91,16 +91,6 @@ class StateDerivative:
         )
 
 
-def axle_kinematics(state: VehicleState, params: VehicleParams):
-    """Front/rear axle longitudinal and vertical positions (x1, x2, z1, z2)."""
-    c = math.cos(state.theta)
-    x1 = state.x + params.L1 * c
-    x2 = state.x - params.L2 * c
-    z1 = state.z - params.L1 * c
-    z2 = state.z + params.L2 * c
-    return x1, x2, z1, z2
-
-
 def _accelerations(p: VehicleParams, terrain):
     """Equations of motion with the parameters and the road bound once.
 

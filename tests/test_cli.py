@@ -48,6 +48,66 @@ class TestArgHandling:
                      "--checkpoint", "x.json",
                      "--constant-velocity", "1.0"]) == 1
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"vehicle": {"m": "1.0"}}, "vehicle.m"),
+        ({"train": {"episodes": "3"}}, "train.episodes"),
+        ({"train": {"episodes": 3.0}}, "train.episodes"),
+        ({"reward": {"w2": True}}, "reward.w2"),
+        ({"agent": {"hidden_sizes": 64}}, "agent.hidden_sizes"),
+        ({"terrain": {"sigma_range": 5}}, "terrain.sigma_range"),
+        ({"terrain": {"sigma_range": [0.03, 0.05, 0.08]}}, "terrain.sigma_range"),
+        ({"terrain": {"fixed_bumps": [{"H": 0.01}]}}, "terrain.fixed_bumps"),
+        ({"terrain": {"fixed_bumps": [{"H": 0.01, "mu": 5.0, "sigma": 0.05,
+                                       "x": 1.0}]}}, "terrain.fixed_bumps"),
+        # The first update would raise InsufficientData mid-run.
+        ({"agent": {"warmup_steps": 10}}, "agent.warmup_steps"),
+    ])
+    def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
+                                                  doc, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_resolved_config_bytes_for_empty_document(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(path), "--constant-velocity",
+                     "2.0", "--out", str(out)]) == 0
+        expected = {
+            "vehicle": {
+                "m": 1.391, "inertia": 0.001897, "k1": 19.6, "k2": 19.6,
+                "c1": 77.6, "c2": 77.6, "L1": 0.128, "L2": 0.128,
+                "tau": 0.3, "u_max": 2.0,
+            },
+            "terrain": {
+                "track_length": 10.0, "n_bumps": 3, "sigma_range": [0.03, 0.08],
+                "min_spacing": 1.0, "placement_range": [2.0, 9.0],
+                "bump_height": 0.008, "randomize": True, "fixed_bumps": None,
+            },
+            "camera": {"lookahead_max": 2.0, "lookahead_min": 0.2, "gain": 0.3},
+            "reward": {
+                "variant": "function_weighted", "w2": 75.0, "x_dot_d": 1.0,
+                "threshold": 0.05, "slope": 100.0, "heavy_weight": 100.0,
+            },
+            "agent": {
+                "actor_lr": 1e-4, "critic_lr": 1e-3, "gamma": 0.99,
+                "batch_size": 64, "tau_soft": 1e-3, "buffer_capacity": 100000,
+                "warmup_steps": 1000, "hidden_sizes": [64, 64],
+                "noise_variance": 0.8, "noise_decay": 1e-4, "noise_floor": 0.01,
+                "noise_mean_reversion": 0.15, "reward_scale": 0.01,
+            },
+            "episode": {"dt": 1.0 / 120.0, "max_steps": 3600,
+                        "initial_x_dot": 0.0},
+            "train": {"episodes": 500, "seed": 0, "checkpoint_interval": 100},
+        }
+        assert (out / "resolved_config.json").read_text() == \
+            json.dumps(expected, indent=2) + "\n"
+
     def test_sweep_rejects_nonpositive_step(self, tiny_config, tmp_path,
                                             capsys):
         rc = main(["sweep", "--config", tiny_config, "--step", "0",
@@ -105,7 +165,11 @@ class TestEvalCommand:
                      "--out", str(out)]) == 0
         assert (out / "policy_episode_0.csv").exists()
 
-    @pytest.mark.parametrize("text", ["[]", "3", "null", '{"format_version": 0}'])
+    @pytest.mark.parametrize("text", [
+        "[]", "3", "null", '{"format_version": 0}',
+        '{"format_version": 1, "config": {"bogus": 1}}',
+        '{"format_version": 1, "config": [1]}',
+    ])
     def test_bad_checkpoint_exits_1(self, tiny_config, tmp_path, capsys, text):
         ckpt = tmp_path / "checkpoint.json"
         ckpt.write_text(text)

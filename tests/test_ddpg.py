@@ -384,3 +384,8 @@ class TestConfigValidation:
     def test_rejects_bad_learning_rate(self):
         with pytest.raises(ValueError):
             AgentConfig(actor_lr=-1.0)
+
+    @pytest.mark.parametrize("batch_size, buffer_capacity", [(0, 10), (64, 63)])
+    def test_rejects_batch_outside_buffer(self, batch_size, buffer_capacity):
+        with pytest.raises(ValueError):
+            AgentConfig(batch_size=batch_size, buffer_capacity=buffer_capacity)

@@ -203,6 +203,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(episodes=0)
 
+    def test_rejects_warmup_shorter_than_batch(self):
+        # warmup_steps + 1 transitions are stored before the first update.
+        TrainConfig(agent=AgentConfig(batch_size=16, warmup_steps=15))
+        with pytest.raises(ValueError, match="warmup_steps"):
+            TrainConfig(agent=AgentConfig(batch_size=16, warmup_steps=14))
+
 
 class TestEvaluate:
     def test_does_not_mutate_agent(self):

@@ -11,7 +11,6 @@ from bumpsim.vehicle import (
     PitchOutOfRange,
     VehicleParams,
     VehicleState,
-    axle_kinematics,
     derivatives,
     measured_vertical_acceleration,
     mechanical_energy,
@@ -38,23 +37,6 @@ class TestParams:
     def test_nonpositive_values_rejected(self, field):
         with pytest.raises(ValueError):
             VehicleParams(**{field: 0.0})
-
-
-class TestAxleKinematics:
-    def test_zero_state(self, params):
-        x1, x2, z1, z2 = axle_kinematics(VehicleState(), params)
-        assert (x1, x2, z1, z2) == (0.128, -0.128, -0.128, 0.128)
-
-    def test_outputs_vanish_near_quarter_turn(self, params):
-        eps = 1e-9
-        out = axle_kinematics(VehicleState(theta=math.pi / 2 - eps), params)
-        for v in out:
-            assert abs(v) < 1e-8
-
-    def test_heave_offsets(self, params):
-        _, _, z1, z2 = axle_kinematics(VehicleState(z=0.01), params)
-        assert z1 == pytest.approx(0.01 - 0.128)
-        assert z2 == pytest.approx(0.01 + 0.128)
 
 
 class TestDerivatives:
