@@ -3,14 +3,8 @@
 from .ddpg import AgentConfig, DdpgAgent
 from .env import BumpEnv, EpisodeConfig, RewardSpec, reward
 from .harness import Metrics, TrainConfig, evaluate, sweep_velocities, train
-from .sensors import CameraSpec, Observation, SensorNoise, observe, preview
+from .sensors import CameraSpec, Observation, observe, preview
 from .terrain import Bump, TerrainProfile, TrackSpec, random_track
-from .vehicle import (
-    VehicleParams,
-    VehicleState,
-    derivatives,
-    measured_vertical_acceleration,
-    step_rk4,
-)
+from .vehicle import VehicleParams, VehicleState, derivatives, step_rk4
 
 __version__ = "0.1.0"

@@ -9,7 +9,6 @@ output head.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -70,6 +69,11 @@ class AgentConfig:
                 f"need 1 <= batch_size ({self.batch_size}) <= buffer_capacity "
                 f"({self.buffer_capacity})"
             )
+        if not all(width >= 1 for width in self.hidden_sizes):
+            raise ValueError(
+                f"agent.hidden_sizes: every layer width must be >= 1, got "
+                f"{list(self.hidden_sizes)}"
+            )
 
 
 class Mlp:
@@ -77,33 +81,50 @@ class Mlp:
 
     def __init__(self, sizes, rng=None):
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights = []
-        self.biases = []
-        if rng is None:
-            for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-                self.weights.append(np.zeros((n_in, n_out)))
-                self.biases.append(np.zeros(n_out))
-        else:
-            n_layers = len(self.sizes) - 1
-            for i, (n_in, n_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
-                if i == n_layers - 1:
+        layers = list(zip(self.sizes[:-1], self.sizes[1:]))
+        # Every parameter is a view into one flat vector, weights then biases
+        # (the parameters() order), so Adam and the soft update run a few
+        # ufuncs per net rather than a few per array.
+        self.flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in layers))
+        views = self.split(self.flat)
+        self.weights, self.biases = views[:len(layers)], views[len(layers):]
+        if rng is not None:
+            for i, (n_in, n_out) in enumerate(layers):
+                if i == len(layers) - 1:
                     bound = 3e-3  # small final layer keeps initial outputs near zero
                 else:
                     bound = 1.0 / math.sqrt(n_in)
-                self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-                self.biases.append(rng.uniform(-bound, bound, size=n_out))
+                self.weights[i][...] = rng.uniform(-bound, bound, size=(n_in, n_out))
+                self.biases[i][...] = rng.uniform(-bound, bound, size=n_out)
 
     def parameters(self):
         return self.weights + self.biases
+
+    def split(self, flat: np.ndarray) -> list:
+        """Views of a flat parameter-sized vector, shaped like parameters()."""
+        shapes = [(n_in, n_out) for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:])]
+        shapes += [(n_out,) for _, n_out in shapes]
+        views, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[start:start + size].reshape(shape))
+            start += size
+        return views
+
+    def copy(self) -> "Mlp":
+        clone = Mlp(self.sizes)
+        clone.flat[...] = self.flat
+        return clone
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x has shape (batch, sizes[0])."""
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         return h
 
     def forward_cached(self, x: np.ndarray):
@@ -112,17 +133,19 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, grad_out: np.ndarray):
+    def backward(self, acts, grad_out: np.ndarray, param_grads=True):
         """Reverse-mode gradients of sum(grad_out * output) w.r.t. parameters.
 
         Returns (grads_w, grads_b, grad_input), each matching the forward
-        batch. grad_out has the output's shape.
+        batch. grad_out has the output's shape. With param_grads=False only
+        grad_input is computed and grads_w, grads_b hold None.
         """
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
@@ -131,10 +154,16 @@ class Mlp:
         for i in range(last, -1, -1):
             if i != last:
                 g = g * (1.0 - acts[i + 1] ** 2)  # tanh'
-            grads_w[i] = acts[i].T @ g
-            grads_b[i] = g.sum(axis=0)
+            if param_grads:
+                grads_w[i] = acts[i].T @ g
+                grads_b[i] = g.sum(axis=0)
             g = g @ self.weights[i].T
         return grads_w, grads_b, g
+
+
+def _concat(grads) -> np.ndarray:
+    """Gradients in parameters() order as one vector laid out like Mlp.flat."""
+    return np.concatenate([g.ravel() for g in grads])
 
 
 class Adam:
@@ -235,10 +264,10 @@ class DdpgAgent:
         h = config.hidden_sizes
         self.actor = Mlp((3, *h, 1), rng=init_rng)
         self.critic = Mlp((4, *h, 1), rng=init_rng)
-        self.target_actor = copy.deepcopy(self.actor)
-        self.target_critic = copy.deepcopy(self.critic)
-        self.actor_opt = Adam(self.actor.parameters(), lr=config.actor_lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=config.critic_lr)
+        self.target_actor = self.actor.copy()
+        self.target_critic = self.critic.copy()
+        self.actor_opt = Adam([self.actor.flat], lr=config.actor_lr)
+        self.critic_opt = Adam([self.critic.flat], lr=config.critic_lr)
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.noise = OUNoise(
             variance=config.noise_variance,
@@ -300,7 +329,7 @@ class DdpgAgent:
         critic_loss = float(np.mean(td * td))
         grad_q = (2.0 / n) * td[:, None]
         gw, gb, _ = self.critic.backward(cache, grad_q)
-        self.critic_opt.step(gw + gb)
+        self.critic_opt.step([_concat(gw + gb)])
 
         # Actor: ascend mean Q(s, mu(s)) by chaining critic input gradients
         # through the tanh squash into the actor.
@@ -309,12 +338,12 @@ class DdpgAgent:
         q_pi, ccache = self.critic.forward_cached(np.hstack([obs, a]))
         actor_objective = float(np.mean(q_pi))
         grad_q = np.full((n, 1), 1.0 / n)
-        _, _, grad_in = self.critic.backward(ccache, grad_q)
+        _, _, grad_in = self.critic.backward(ccache, grad_q, param_grads=False)
         grad_a = grad_in[:, 3:]  # d mean Q / d action column
         grad_y = grad_a * 0.5 * (1.0 - np.tanh(ay) ** 2)
         gw, gb, _ = self.actor.backward(acache, grad_y)
         # Negate: the optimizer minimizes, the actor maximizes Q.
-        self.actor_opt.step([-g for g in gw + gb])
+        self.actor_opt.step([-_concat(gw + gb)])
 
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
 
@@ -325,9 +354,8 @@ class DdpgAgent:
             (self.actor, self.target_actor),
             (self.critic, self.target_critic),
         ):
-            for p, t in zip(src.parameters(), dst.parameters()):
-                t *= 1.0 - tau
-                t += tau * p
+            dst.flat *= 1.0 - tau
+            dst.flat += tau * src.flat
 
     # -- persistence -------------------------------------------------------
 
@@ -340,11 +368,11 @@ class DdpgAgent:
                 "biases": [b.tolist() for b in m.biases],
             }
 
-        def opt(o: Adam):
+        def opt(o: Adam, m: Mlp):
             return {
                 "t": o.t,
-                "m": [a.tolist() for a in o.m],
-                "v": [a.tolist() for a in o.v],
+                "m": [a.tolist() for a in m.split(o.m[0])],
+                "v": [a.tolist() for a in m.split(o.v[0])],
             }
 
         doc = {
@@ -354,8 +382,8 @@ class DdpgAgent:
             "critic": net(self.critic),
             "target_actor": net(self.target_actor),
             "target_critic": net(self.target_critic),
-            "actor_opt": opt(self.actor_opt),
-            "critic_opt": opt(self.critic_opt),
+            "actor_opt": opt(self.actor_opt, self.actor),
+            "critic_opt": opt(self.critic_opt, self.critic),
             "noise": {
                 "variance": self.noise.variance,
                 "value": self.noise.value,
@@ -384,15 +412,20 @@ class DdpgAgent:
                 f"checkpoint version {version!r} != supported {CHECKPOINT_VERSION}"
             )
 
-        def load_net(m: Mlp, d):
-            m.weights = [np.array(w) for w in d["weights"]]
-            m.biases = [np.array(b) for b in d["biases"]]
+        def fill(views, arrays):
+            arrays = [np.array(a, dtype=float) for a in arrays]
+            if [a.shape for a in arrays] != [v.shape for v in views]:
+                raise ValueError("array shapes do not match the network sizes")
+            for view, a in zip(views, arrays):
+                view[...] = a
 
-        def load_opt(o: Adam, params, d):
-            o.params = params
+        def load_net(m: Mlp, d):
+            fill(m.parameters(), d["weights"] + d["biases"])
+
+        def load_opt(o: Adam, m: Mlp, d):
             o.t = d["t"]
-            o.m = [np.array(a) for a in d["m"]]
-            o.v = [np.array(a) for a in d["v"]]
+            fill(m.split(o.m[0]), d["m"])
+            fill(m.split(o.v[0]), d["v"])
 
         try:
             cfg_doc = dict(doc["config"])
@@ -402,8 +435,8 @@ class DdpgAgent:
             load_net(agent.critic, doc["critic"])
             load_net(agent.target_actor, doc["target_actor"])
             load_net(agent.target_critic, doc["target_critic"])
-            load_opt(agent.actor_opt, agent.actor.parameters(), doc["actor_opt"])
-            load_opt(agent.critic_opt, agent.critic.parameters(), doc["critic_opt"])
+            load_opt(agent.actor_opt, agent.actor, doc["actor_opt"])
+            load_opt(agent.critic_opt, agent.critic, doc["critic_opt"])
             agent.noise.variance = doc["noise"]["variance"]
             agent.noise.value = doc["noise"]["value"]
             agent.episode_count = doc["episode_count"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensors import CameraSpec, Observation, SensorNoise, observe
+from .sensors import CameraSpec, Observation, observe
 from .terrain import FLAT, TerrainProfile, TrackSpec, random_track
 from .vehicle import (
     GRAVITY_NOMINAL,
@@ -107,13 +107,11 @@ class BumpEnv:
     def __init__(self, params: VehicleParams = VehicleParams(),
                  camera: CameraSpec = CameraSpec(),
                  reward_spec: RewardSpec = RewardSpec(),
-                 episode: EpisodeConfig = EpisodeConfig(),
-                 noise: SensorNoise | None = None):
+                 episode: EpisodeConfig = EpisodeConfig()):
         self.params = params
         self.camera = camera
         self.reward_spec = reward_spec
         self.episode = episode
-        self.noise = noise
         self._rng = np.random.default_rng()
         self._state: VehicleState | None = None
         self._terrain: TerrainProfile = FLAT
@@ -132,7 +130,7 @@ class BumpEnv:
         return self._state
 
     def reset(self, seed=None) -> Observation:
-        """Start a new episode; a seed makes track and sensor noise deterministic."""
+        """Start a new episode; a seed makes the randomized track deterministic."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         if self.episode.fixed_track is not None:
@@ -147,7 +145,8 @@ class BumpEnv:
         self._steps = 0
         self._t = 0.0
         self._done = False
-        return self._observe(action_prev=0.0)
+        z_ddot = derivatives(self._state, 0.0, self.params, self._terrain)[3]
+        return observe(self._state, z_ddot, self._terrain, self.camera, self.params)
 
     def step(self, action: float):
         """Advance one control period; returns (obs, reward, done, info)."""
@@ -161,9 +160,10 @@ class BumpEnv:
         )
         self._steps += 1
         self._t += self.episode.dt
-        # One model evaluation serves both the IMU channel and info.
-        z_ddot = derivatives(self._state, u_x, self.params, self._terrain).z_ddot
-        obs = self._observe(action_prev=u_x, z_ddot=z_ddot)
+        # One model evaluation serves both the IMU channel and info, which
+        # keeps the raw z_ddot: (z_ddot + 9.8) - 9.8 need not equal z_ddot.
+        z_ddot = derivatives(self._state, u_x, self.params, self._terrain)[3]
+        obs = observe(self._state, z_ddot, self._terrain, self.camera, self.params)
         r = reward(obs, self.reward_spec)
         self._done = (
             self._state.x >= self._terrain.track_length
@@ -180,9 +180,3 @@ class BumpEnv:
             "p": obs.p,
         }
         return obs, r, self._done, info
-
-    def _observe(self, action_prev: float, z_ddot: float | None = None) -> Observation:
-        return observe(
-            self._state, action_prev, self._terrain, self.camera, self.params,
-            noise=self.noise, rng=self._rng, z_ddot=z_ddot,
-        )

@@ -126,24 +126,39 @@ def episode_seed_sequence(seed: int, episodes: int):
     return [int(s) for s in rng.integers(0, 2**31, size=episodes)]
 
 
-def rollout(env, policy, seed=None, record=False):
-    """Run one greedy episode; returns (Metrics, timeseries rows or None)."""
+def run_episode(env, policy, seed, on_step=None):
+    """Run one episode of policy from env.reset(seed); returns (Metrics, steps).
+
+    on_step(obs, action, reward, next_obs, done, info), when given, is called
+    after every step.
+    """
     obs = env.reset(seed=seed)
-    acc, vel, rews, rows = [], [], [], []
+    acc, vel, rews = [], [], []
     done = False
     while not done:
-        u = policy(obs)
-        obs, r, done, info = env.step(u)
+        action = policy(obs)
+        next_obs, r, done, info = env.step(action)
+        if on_step is not None:
+            on_step(obs, action, r, next_obs, done, info)
+        obs = next_obs
         acc.append(obs.z_ddot_meas)
         vel.append(info["x_dot"])
         rews.append(r)
-        if record:
-            rows.append([
-                info["t"], info["x"], info["x_dot"], info["u_x"], info["z"],
-                info["theta"], obs.z_ddot_meas, obs.p, r,
-            ])
-    m = metrics_from_trace(acc, vel, rews, env.reward_spec.x_dot_d)
-    return m, (rows if record else None)
+    return metrics_from_trace(acc, vel, rews, env.reward_spec.x_dot_d), len(rews)
+
+
+def rollout(env, policy, seed=None, record=False):
+    """Run one greedy episode; returns (Metrics, timeseries rows or None)."""
+    rows = [] if record else None
+
+    def record_row(obs, action, r, next_obs, done, info):
+        rows.append([
+            info["t"], info["x"], info["x_dot"], info["u_x"], info["z"],
+            info["theta"], next_obs.z_ddot_meas, next_obs.p, r,
+        ])
+
+    m, _ = run_episode(env, policy, seed, record_row if record else None)
+    return m, rows
 
 
 def train(config: TrainConfig, env=None) -> TrainResult:
@@ -164,30 +179,22 @@ def train(config: TrainConfig, env=None) -> TrainResult:
         os.makedirs(out, exist_ok=True)
     checkpoint_path = os.path.join(out, "checkpoint.json") if out else None
 
+    total_steps = 0
+
+    def learn(obs, action, r, next_obs, done, info):
+        nonlocal total_steps
+        agent.store(obs, action, r, next_obs, done)
+        total_steps += 1
+        if total_steps > config.agent.warmup_steps:
+            agent.update()
+            agent.soft_update()
+
     episode_metrics = []
     csv_rows = []
-    total_steps = 0
     for ep, ep_seed in enumerate(ep_seeds):
-        obs = env.reset(seed=ep_seed)
         agent.noise.reset()
-        acc, vel, rews = [], [], []
-        done = False
-        steps = 0
-        while not done:
-            action = agent.explore(obs)
-            next_obs, r, done, info = env.step(action)
-            agent.store(obs, action, r, next_obs, done)
-            total_steps += 1
-            steps += 1
-            if total_steps > config.agent.warmup_steps:
-                agent.update()
-                agent.soft_update()
-            obs = next_obs
-            acc.append(obs.z_ddot_meas)
-            vel.append(info["x_dot"])
-            rews.append(r)
+        m, steps = run_episode(env, agent.explore, ep_seed, learn)
         agent.episode_count += 1
-        m = metrics_from_trace(acc, vel, rews, config.reward_spec.x_dot_d)
         episode_metrics.append(m)
         csv_rows.append([
             ep, steps, m.episode_return, m.peak_abs_acc_dev, m.rmse_acc_dev,

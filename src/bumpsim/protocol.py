@@ -13,13 +13,18 @@ import json
 import math
 import socket
 import threading
+from dataclasses import asdict
 
-from .env import EnvNotReset
+from .env import EnvNotReset, RewardSpec
 from .sensors import Observation
 from .vehicle import DynamicsError
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 OBS_SPEC = ["x_dot", "z_ddot_meas", "p"]
+# Longest request line the server reads, newline included. The longest valid
+# request is a step of well under 100 bytes; a longer line ends the session
+# rather than growing the server's read buffer without bound.
+MAX_REQUEST_BYTES = 4096
 
 
 class ProtocolError(Exception):
@@ -119,13 +124,19 @@ class EnvServer:
         env = self._env_factory()
         reader = conn.makefile("rb")
         try:
-            for raw in reader:
+            while raw := reader.readline(MAX_REQUEST_BYTES + 1):
                 if self._shutdown.is_set():
                     return
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                response, closing = self._respond(env, line)
+                if len(raw) > MAX_REQUEST_BYTES:
+                    response, closing = _error(
+                        "BAD_REQUEST",
+                        f"request line longer than {MAX_REQUEST_BYTES} bytes",
+                    ), True
+                else:
+                    line = raw.decode("utf-8", errors="replace").strip()
+                    if not line:
+                        continue
+                    response, closing = self._respond(env, line)
                 conn.sendall((json.dumps(response) + "\n").encode())
                 if closing:
                     return
@@ -153,6 +164,7 @@ class EnvServer:
                 "version": PROTOCOL_VERSION,
                 "obs_spec": OBS_SPEC,
                 "action_spec": {"low": 0.0, "high": env.params.u_max},
+                "reward_spec": asdict(env.reward_spec),
             }, False
         if kind == "reset":
             seed = msg.get("seed")
@@ -208,8 +220,8 @@ class RemoteEnv:
             raise ProtocolError(f"unexpected handshake response: {ack}")
         self.obs_spec = ack["obs_spec"]
         self.action_spec = ack["action_spec"]
-        # Mirror of BumpEnv attributes the harness reads.
-        self.reward_spec = None
+        # The harness reads the desired velocity of the server's reward.
+        self.reward_spec = RewardSpec(**ack["reward_spec"])
 
     def _request(self, msg: dict) -> dict:
         try:

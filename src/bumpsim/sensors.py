@@ -13,12 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .terrain import TerrainProfile
-from .vehicle import (
-    GRAVITY_NOMINAL,
-    VehicleParams,
-    VehicleState,
-    measured_vertical_acceleration,
-)
+from .vehicle import GRAVITY_NOMINAL, VehicleParams, VehicleState
 
 
 @dataclass(frozen=True)
@@ -37,14 +32,6 @@ class CameraSpec:
             )
         if not (self.gain > 0.0):
             raise ValueError(f"gain must be positive, got {self.gain}")
-
-
-@dataclass(frozen=True)
-class SensorNoise:
-    """Zero-mean Gaussian noise on the velocity and acceleration channels."""
-
-    x_dot_std: float = 0.0
-    acc_std: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -80,24 +67,12 @@ def preview(state: VehicleState, terrain: TerrainProfile,
     return min(1.0, total)
 
 
-def observe(state: VehicleState, action_prev: float, terrain: TerrainProfile,
-            cam: CameraSpec, params: VehicleParams,
-            noise: SensorNoise | None = None, rng=None,
-            z_ddot: float | None = None) -> Observation:
-    """Assemble the observation vector; optional Gaussian noise on x_dot and z_ddot.
+def observe(state: VehicleState, z_ddot: float, terrain: TerrainProfile,
+            cam: CameraSpec, params: VehicleParams) -> Observation:
+    """Assemble the observation vector.
 
-    z_ddot is the model heave acceleration at `state` under `action_prev`,
-    for a caller that has already evaluated it; otherwise it is computed here.
+    z_ddot is the model heave acceleration at `state`; the IMU reads it plus
+    nominal gravity.
     """
-    x_dot = state.x_dot
-    if z_ddot is None:
-        z_ddot_meas = measured_vertical_acceleration(state, action_prev, params, terrain)
-    else:
-        z_ddot_meas = z_ddot + GRAVITY_NOMINAL
-    p = preview(state, terrain, cam, params)
-    if noise is not None and rng is not None:
-        if noise.x_dot_std > 0.0:
-            x_dot += noise.x_dot_std * rng.standard_normal()
-        if noise.acc_std > 0.0:
-            z_ddot_meas += noise.acc_std * rng.standard_normal()
-    return Observation(x_dot=x_dot, z_ddot_meas=z_ddot_meas, p=p)
+    return Observation(x_dot=state.x_dot, z_ddot_meas=z_ddot + GRAVITY_NOMINAL,
+                       p=preview(state, terrain, cam, params))

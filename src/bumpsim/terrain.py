@@ -108,23 +108,31 @@ class TrackSpec:
     placement_range: tuple[float, float] = (2.0, 9.0)
     bump_height: float = DEFAULT_BUMP_HEIGHT
 
+    def __post_init__(self):
+        n = self.n_bumps
+        if not (n >= 0):
+            raise ValueError(f"terrain.n_bumps must be >= 0, got {n}")
+        if not (self.bump_height > 0.0):
+            raise ValueError(
+                f"terrain.bump_height must be positive, got {self.bump_height}")
+        lo, hi = self.placement_range
+        if n > 0 and (hi - lo) - (n - 1) * self.min_spacing < 0.0:
+            raise InfeasibleSpec(
+                f"terrain.n_bumps: cannot place {n} bumps with spacing "
+                f"{self.min_spacing} in [{lo}, {hi}]"
+            )
+
 
 def random_track(seed, spec: TrackSpec = TrackSpec()) -> TerrainProfile:
     """Deterministically generate a track with sorted, min-spaced bump centers.
 
-    Accepts an int seed or a numpy Generator. Raises InfeasibleSpec when the
-    placement window cannot hold n_bumps at min_spacing.
+    Accepts an int seed or a numpy Generator.
     """
     lo, hi = spec.placement_range
     n = spec.n_bumps
     if n == 0:
         return TerrainProfile(bumps=(), track_length=spec.track_length)
     slack = (hi - lo) - (n - 1) * spec.min_spacing
-    if slack < 0.0:
-        raise InfeasibleSpec(
-            f"cannot place {n} bumps with spacing {spec.min_spacing} in "
-            f"[{lo}, {hi}]"
-        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     # Spacing transform: sorted uniforms on the slack interval plus mandatory
     # gaps give exact min-spacing without rejection sampling.

@@ -69,28 +69,6 @@ class VehicleState:
         return (self.x, self.x_dot, self.z, self.z_dot, self.theta, self.theta_dot)
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of each VehicleState field."""
-
-    x_dot: float
-    x_ddot: float
-    z_dot: float
-    z_ddot: float
-    theta_dot: float
-    theta_ddot: float
-
-    def as_tuple(self):
-        return (
-            self.x_dot,
-            self.x_ddot,
-            self.z_dot,
-            self.z_ddot,
-            self.theta_dot,
-            self.theta_ddot,
-        )
-
-
 def _accelerations(p: VehicleParams, terrain):
     """Equations of motion with the parameters and the road bound once.
 
@@ -124,16 +102,20 @@ def _accelerations(p: VehicleParams, terrain):
     return acc
 
 
-def derivatives(state: VehicleState, u_x: float,
-                params: VehicleParams, terrain) -> StateDerivative:
-    """Evaluate the equations of motion for a commanded velocity u_x."""
+def derivatives(state: VehicleState, u_x: float, params: VehicleParams,
+                terrain) -> tuple[float, float, float, float, float, float]:
+    """Evaluate the equations of motion for a commanded velocity u_x.
+
+    Returns the time derivative of each VehicleState field, in field order:
+    (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot).
+    """
     x, x_dot, z, z_dot, theta, theta_dot = state.as_tuple()
     x_ddot, z_ddot, theta_ddot = _accelerations(params, terrain)(
         x, x_dot, z, z_dot, theta, theta_dot, u_x)
     out = (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
     if not all(math.isfinite(v) for v in out):
         raise NonFinite(f"non-finite derivative: {out}")
-    return StateDerivative(*out)
+    return out
 
 
 def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
@@ -185,12 +167,6 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     if not all(math.isfinite(v) for v in y):
         raise NonFinite(f"non-finite state after RK4 step: {y}")
     return VehicleState(*y)
-
-
-def measured_vertical_acceleration(state: VehicleState, u_x: float,
-                                   params: VehicleParams, terrain) -> float:
-    """Simulated IMU vertical channel: model heave acceleration plus 9.8."""
-    return derivatives(state, u_x, params, terrain).z_ddot + GRAVITY_NOMINAL
 
 
 def mechanical_energy(state: VehicleState, params: VehicleParams) -> float:

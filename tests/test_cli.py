@@ -61,6 +61,11 @@ class TestArgHandling:
                                        "x": 1.0}]}}, "terrain.fixed_bumps"),
         # The first update would raise InsufficientData mid-run.
         ({"agent": {"warmup_steps": 10}}, "agent.warmup_steps"),
+        # Tracks that only the first reset would find impossible to build.
+        ({"terrain": {"n_bumps": 20}}, "terrain.n_bumps"),
+        ({"terrain": {"n_bumps": -1}}, "terrain.n_bumps"),
+        ({"terrain": {"bump_height": -0.01}}, "terrain.bump_height"),
+        ({"agent": {"hidden_sizes": [0]}}, "agent.hidden_sizes"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):

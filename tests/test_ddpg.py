@@ -338,6 +338,42 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert loaded.actor_opt.t == agent.actor_opt.t
 
+    def test_resumed_updates_match_uninterrupted(self, tmp_path):
+        # load writes into the flat vectors that Adam and soft_update act on,
+        # so a loaded agent learns exactly as the saved one goes on to.
+        agent = filled_agent(seed=9)
+        for _ in range(5):
+            agent.update()
+            agent.soft_update()
+        path = str(tmp_path / "ckpt.json")
+        agent.save(path)
+        loaded = DdpgAgent.load(path)
+        loaded.buffer = copy.deepcopy(agent.buffer)
+        loaded.sample_rng.bit_generator.state = agent.sample_rng.bit_generator.state
+        for a in (agent, loaded):
+            for _ in range(5):
+                a.update()
+                a.soft_update()
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(loaded, name).flat,
+                                  getattr(agent, name).flat)
+        for name in ("actor_opt", "critic_opt"):
+            for a, b in zip(getattr(agent, name).m + getattr(agent, name).v,
+                            getattr(loaded, name).m + getattr(loaded, name).v):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("key", ["actor", "target_critic"])
+    def test_rejects_arrays_of_the_wrong_shape(self, tmp_path, key):
+        agent = DdpgAgent(AgentConfig(hidden_sizes=(4, 4)), seed=0)
+        path = str(tmp_path / "ckpt.json")
+        agent.save(path)
+        doc = json.loads(open(path).read())
+        doc[key]["weights"][0] = [[1.0]]
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(CheckpointError):
+            DdpgAgent.load(path)
+
     def test_rejects_other_format_version(self, tmp_path):
         agent = DdpgAgent(AgentConfig(), seed=0)
         path = str(tmp_path / "ckpt.json")
@@ -389,3 +425,8 @@ class TestConfigValidation:
     def test_rejects_batch_outside_buffer(self, batch_size, buffer_capacity):
         with pytest.raises(ValueError):
             AgentConfig(batch_size=batch_size, buffer_capacity=buffer_capacity)
+
+    @pytest.mark.parametrize("hidden_sizes", [(0,), (8, -1)])
+    def test_rejects_layer_width_below_one(self, hidden_sizes):
+        with pytest.raises(ValueError, match="hidden_sizes"):
+            AgentConfig(hidden_sizes=hidden_sizes)

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
-from bumpsim.env import BumpEnv, EpisodeConfig
+from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
+from bumpsim.harness import constant_policy, rollout
 from bumpsim.protocol import (
+    MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
     ConnectionLost,
     EnvServer,
@@ -46,6 +48,7 @@ class TestHandshake:
         with RemoteEnv(server.address) as env:
             assert env.obs_spec == ["x_dot", "z_ddot_meas", "p"]
             assert env.action_spec == {"low": 0.0, "high": 2.0}
+            assert env.reward_spec == RewardSpec()
 
     def test_version_mismatch_rejected(self, server):
         sock, reader = raw_session(server.address)
@@ -104,6 +107,25 @@ class TestLoopbackEquivalence:
                 done = ldone
                 i += 1
         remote.close()
+
+    def test_rollout_matches_in_process(self):
+        # A remote env used to have no reward spec, so rollout raised
+        # AttributeError reading its desired velocity.
+        def factory():
+            return BumpEnv(reward_spec=RewardSpec(x_dot_d=0.7),
+                           episode=EpisodeConfig(max_steps=300))
+
+        s = EnvServer(factory, port=0).start()
+        try:
+            with RemoteEnv(s.address) as remote:
+                for seed in (0, 1234):
+                    got = rollout(remote, constant_policy(0.9), seed=seed,
+                                  record=True)
+                    want = rollout(factory(), constant_policy(0.9), seed=seed,
+                                   record=True)
+                    assert got == want
+        finally:
+            s.shutdown()
 
     def test_throughput_at_least_120hz(self, server):
         remote = RemoteEnv(server.address)
@@ -214,6 +236,23 @@ class TestErrors:
         with pytest.raises(ConnectionLost):
             for _ in range(50):
                 env.step(1.0)
+
+    def test_request_line_length_is_capped(self, server):
+        hello = json.dumps({"type": "hello", "version": PROTOCOL_VERSION})
+        sock, reader = raw_session(server.address)
+        # A line of exactly the limit, newline included, is still served.
+        resp = send_line(sock, reader, hello.ljust(MAX_REQUEST_BYTES - 1))
+        assert resp["type"] == "hello_ack"
+        resp = send_line(sock, reader, "x" * MAX_REQUEST_BYTES)
+        assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        try:
+            assert reader.readline() == b""  # the session ended
+        except ConnectionResetError:
+            pass
+        sock.close()
+        with RemoteEnv(server.address) as env:  # the server still serves
+            env.reset(seed=0)
+            env.step(1.0)
 
     def test_sequential_sessions(self, server):
         for _ in range(3):

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from bumpsim.sensors import CameraSpec, Observation, SensorNoise, observe, preview
+from bumpsim.sensors import CameraSpec, Observation, observe, preview
 from bumpsim.terrain import FLAT, Bump, TerrainProfile
-from bumpsim.vehicle import VehicleParams, VehicleState
+from bumpsim.vehicle import GRAVITY_NOMINAL, VehicleParams, VehicleState, derivatives
 
 
 @pytest.fixture
@@ -86,40 +84,18 @@ class TestPreview:
 
 class TestObserve:
     def test_equilibrium_flat_noiseless(self, cam, params):
-        obs = observe(VehicleState(), 0.0, FLAT, cam, params)
+        z_ddot = derivatives(VehicleState(), 0.0, params, FLAT)[3]
+        obs = observe(VehicleState(), z_ddot, FLAT, cam, params)
         assert obs == Observation(x_dot=0.0, z_ddot_meas=9.8, p=0.0)
 
     def test_noiseless_is_exact_passthrough(self, cam, params):
         terrain = bump_at(5.0)
         state = VehicleState(x=4.0, x_dot=1.0, z=0.003)
-        obs = observe(state, 1.0, terrain, cam, params)
-        from bumpsim.vehicle import measured_vertical_acceleration
-
+        z_ddot = derivatives(state, 1.0, params, terrain)[3]
+        obs = observe(state, z_ddot, terrain, cam, params)
         assert obs.x_dot == state.x_dot
-        assert obs.z_ddot_meas == measured_vertical_acceleration(
-            state, 1.0, params, terrain
-        )
+        assert obs.z_ddot_meas == z_ddot + GRAVITY_NOMINAL
         assert obs.p == preview(state, terrain, cam, params)
-
-    def test_noise_is_zero_mean(self, cam, params):
-        n = 100_000
-        sigma = 0.05
-        rng = np.random.default_rng(77)
-        noise = SensorNoise(acc_std=sigma)
-        vals = np.array([
-            observe(VehicleState(), 0.0, FLAT, cam, params, noise, rng).z_ddot_meas
-            for _ in range(n)
-        ])
-        assert abs(vals.mean() - 9.8) < 3 * sigma / math.sqrt(n)
-
-    def test_noise_never_touches_preview(self, cam, params):
-        terrain = bump_at(5.0)
-        rng = np.random.default_rng(1)
-        noise = SensorNoise(x_dot_std=1.0, acc_std=1.0)
-        state = state_with_front_axle_at(4.8, params)
-        for _ in range(50):
-            obs = observe(state, 0.0, terrain, cam, params, noise, rng)
-            assert obs.p == pytest.approx(0.3)
 
 
 class TestCameraSpec:

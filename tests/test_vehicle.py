@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bumpsim.env import BumpEnv, EpisodeConfig
+from bumpsim.sensors import CameraSpec, observe
 from bumpsim.terrain import FLAT, Bump, TerrainProfile, TrackSpec, random_track
 from bumpsim.vehicle import (
     GRAVITY_NOMINAL,
@@ -12,7 +13,6 @@ from bumpsim.vehicle import (
     VehicleParams,
     VehicleState,
     derivatives,
-    measured_vertical_acceleration,
     mechanical_energy,
     step_rk4,
 )
@@ -42,20 +42,22 @@ class TestParams:
 class TestDerivatives:
     def test_equilibrium_is_fixed_point(self, params):
         d = derivatives(VehicleState(), 0.0, params, FLAT)
-        assert d.as_tuple() == (0.0, 0.0, 0.0, -0.0, 0.0, 0.0)
+        assert d == (0.0, 0.0, 0.0, -0.0, 0.0, 0.0)
 
     def test_commanded_velocity_lag(self, params):
-        d = derivatives(VehicleState(), 1.0, params, FLAT)
-        assert d.x_ddot == pytest.approx(1.0 / 0.3)
-        assert d.z_ddot == 0.0
-        assert d.theta_ddot == 0.0
+        _, x_ddot, _, z_ddot, _, theta_ddot = derivatives(
+            VehicleState(), 1.0, params, FLAT)
+        assert x_ddot == pytest.approx(1.0 / 0.3)
+        assert z_ddot == 0.0
+        assert theta_ddot == 0.0
 
     def test_pure_heave_response(self, params):
-        d = derivatives(VehicleState(z=0.01), 0.0, params, FLAT)
+        _, _, _, z_ddot, _, theta_ddot = derivatives(
+            VehicleState(z=0.01), 0.0, params, FLAT)
         expected = -(19.6 * 0.01 + 19.6 * 0.01) / 1.391
-        assert d.z_ddot == pytest.approx(expected)
-        assert d.z_ddot == pytest.approx(-0.28181, abs=1e-5)
-        assert d.theta_ddot == 0.0  # front/rear contributions cancel
+        assert z_ddot == pytest.approx(expected)
+        assert z_ddot == pytest.approx(-0.28181, abs=1e-5)
+        assert theta_ddot == 0.0  # front/rear contributions cancel
 
     def test_pitch_bound_enforced(self, params):
         with pytest.raises(PitchOutOfRange):
@@ -76,7 +78,7 @@ class TestDerivatives:
 
         for z, z_dot in [(0.0, 0.0), (0.01, -0.1), (-0.005, 0.2)]:
             d = derivatives(VehicleState(z=z, z_dot=z_dot), 0.0, params, UniformRoad())
-            assert d.theta_ddot == 0.0
+            assert d[5] == 0.0  # theta_ddot
 
 
 class TestStepRk4:
@@ -132,35 +134,26 @@ class TestStepRk4:
         peak = 0.0
         for _ in range(360):
             state = step_rk4(state, 1.0, params, terrain, DT)
-            d = derivatives(state, 1.0, params, terrain)
-            peak = max(peak, abs(d.z_ddot))
+            z_ddot = derivatives(state, 1.0, params, terrain)[3]
+            peak = max(peak, abs(z_ddot))
         assert math.isfinite(state.z)
         assert peak > 0.1  # the bump actually excites the chassis
 
 
 class TestMeasuredAcceleration:
+    """The IMU channel: the model heave acceleration plus nominal gravity."""
+
+    @staticmethod
+    def imu(state, params):
+        z_ddot = derivatives(state, 0.0, params, FLAT)[3]
+        return observe(state, z_ddot, FLAT, CameraSpec(), params).z_ddot_meas
+
     def test_equilibrium_reads_nominal_gravity(self, params):
-        assert measured_vertical_acceleration(
-            VehicleState(), 0.0, params, FLAT
-        ) == GRAVITY_NOMINAL
+        assert self.imu(VehicleState(), params) == GRAVITY_NOMINAL
 
     def test_pure_heave_offset(self, params):
-        got = measured_vertical_acceleration(VehicleState(z=0.01), 0.0, params, FLAT)
+        got = self.imu(VehicleState(z=0.01), params)
         assert got == pytest.approx(9.8 - 0.28181, abs=1e-5)
-
-    def test_definitionally_consistent_with_derivatives(self, params):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            state = VehicleState(
-                x=rng.uniform(0, 10), x_dot=rng.uniform(0, 2),
-                z=rng.uniform(-0.01, 0.01), z_dot=rng.uniform(-0.1, 0.1),
-                theta=rng.uniform(-0.1, 0.1), theta_dot=rng.uniform(-0.5, 0.5),
-            )
-            u = rng.uniform(0, 2)
-            meas = measured_vertical_acceleration(state, u, params, FLAT)
-            z_ddot = derivatives(state, u, params, FLAT).z_ddot
-            assert meas == z_ddot + GRAVITY_NOMINAL  # definitional, bit-exact
-            assert meas - GRAVITY_NOMINAL == pytest.approx(z_ddot, abs=4e-15)
 
 
 # Reference path: the equations of motion and RK4 as first written, with
@@ -259,7 +252,7 @@ class TestFusedPathBitExact:
             ref = ref_step_rk4(ref, u, params, dense_track, DT)
             assert bits(state.as_tuple()) == bits(ref)
             d = derivatives(state, u, params, dense_track)
-            assert bits(d.as_tuple()) == bits(
+            assert bits(d) == bits(
                 ref_derivatives(*ref, u, params, dense_track))
             pitch_seen = max(pitch_seen, abs(state.theta))
         assert state.x > 3.2  # every bump was crossed
