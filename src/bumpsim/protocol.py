@@ -25,6 +25,11 @@ OBS_SPEC = ["x_dot", "z_ddot_meas", "p"]
 # request is a step of well under 100 bytes; a longer line ends the session
 # rather than growing the server's read buffer without bound.
 MAX_REQUEST_BYTES = 4096
+# Seconds a session may wait for its next request. The server holds one
+# session at a time, so a client that connects and sends nothing would
+# otherwise shut every other client out; past this the session ends and the
+# server accepts the next client.
+IDLE_TIMEOUT_S = 60.0
 
 
 class ProtocolError(Exception):
@@ -95,6 +100,7 @@ class EnvServer:
             except OSError:
                 break
             with conn:
+                conn.settimeout(IDLE_TIMEOUT_S)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._active_conn = conn
                 try:
@@ -140,7 +146,7 @@ class EnvServer:
                 conn.sendall((json.dumps(response) + "\n").encode())
                 if closing:
                     return
-        except (ConnectionResetError, BrokenPipeError):
+        except (ConnectionResetError, BrokenPipeError, TimeoutError):
             return
         finally:
             reader.close()
@@ -211,17 +217,23 @@ class RemoteEnv:
 
     def __init__(self, address, timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("rb")
-        ack = self._request({"type": "hello", "version": PROTOCOL_VERSION})
-        if ack["type"] == "error" and ack.get("code") == "VERSION_MISMATCH":
-            raise VersionMismatch(ack.get("message", ""))
-        if ack["type"] != "hello_ack":
-            raise ProtocolError(f"unexpected handshake response: {ack}")
-        self.obs_spec = ack["obs_spec"]
-        self.action_spec = ack["action_spec"]
-        # The harness reads the desired velocity of the server's reward.
-        self.reward_spec = RewardSpec(**ack["reward_spec"])
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            ack = self._request({"type": "hello", "version": PROTOCOL_VERSION})
+            if ack["type"] == "error" and ack.get("code") == "VERSION_MISMATCH":
+                raise VersionMismatch(ack.get("message", ""))
+            if ack["type"] != "hello_ack":
+                raise ProtocolError(f"unexpected handshake response: {ack}")
+            self.obs_spec = ack["obs_spec"]
+            self.action_spec = ack["action_spec"]
+            # The harness reads the desired velocity of the server's reward.
+            self.reward_spec = RewardSpec(**ack["reward_spec"])
+        except BaseException:
+            # No caller gets an object to close, so close the socket here.
+            self._reader.close()
+            self._sock.close()
+            raise
 
     def _request(self, msg: dict) -> dict:
         try:

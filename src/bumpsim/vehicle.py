@@ -69,16 +69,18 @@ class VehicleState:
         return (self.x, self.x_dot, self.z, self.z_dot, self.theta, self.theta_dot)
 
 
-def _accelerations(p: VehicleParams, terrain):
+def _accelerations(p: VehicleParams, road2):
     """Equations of motion with the parameters and the road bound once.
 
-    Returns acc(x, x_dot, z, z_dot, theta, theta_dot, u_x) ->
-    (x_ddot, z_ddot, theta_ddot) on unpacked scalars; the other three
-    components of the state derivative are the state's own rates.
+    road2(x1, x2) -> (g(x1), g'(x1), g(x2), g'(x2)) gives the road at the
+    front and rear wheels, as from terrain.wheels(a, b); it must be exact at
+    every wheel position the caller evaluates. Returns acc(x, x_dot, z,
+    z_dot, theta, theta_dot, u_x) -> (x_ddot, z_ddot, theta_ddot) on unpacked
+    scalars; the other three components of the state derivative are the
+    state's own rates.
     """
     L1, L2, k1, k2, c1, c2 = p.L1, p.L2, p.k1, p.k2, p.c1, p.c2
     m, inertia, tau = p.m, p.inertia, p.tau
-    road = terrain.height_slope
     sin, cos = math.sin, math.cos
     half_pi = math.pi / 2
 
@@ -90,9 +92,9 @@ def _accelerations(p: VehicleParams, terrain):
         l1c = L1 * c
         l2c = L2 * c
         # Road height and slope at each wheel; both axles share the chassis
-        # forward speed.
-        zh1, g1 = road(x + l1c)
-        zh2, g2 = road(x - l2c)
+        # forward speed. With |theta| < pi/2, 0 < c <= 1, so the wheels lie
+        # in [x - L2, x + L1].
+        zh1, g1, zh2, g2 = road2(x + l1c, x - l2c)
         # Suspension forces from the deflections (measured from static
         # equilibrium) and their rates.
         f1 = k1 * ((z - L1 * s) - zh1) + c1 * ((z_dot - l1c * theta_dot) - g1 * x_dot)
@@ -110,7 +112,8 @@ def derivatives(state: VehicleState, u_x: float, params: VehicleParams,
     (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot).
     """
     x, x_dot, z, z_dot, theta, theta_dot = state.as_tuple()
-    x_ddot, z_ddot, theta_ddot = _accelerations(params, terrain)(
+    road2 = terrain.wheels(x - params.L2, x + params.L1)
+    x_ddot, z_ddot, theta_ddot = _accelerations(params, road2)(
         x, x_dot, z, z_dot, theta, theta_dot, u_x)
     out = (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
     if not all(math.isfinite(v) for v in out):
@@ -141,8 +144,23 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     h = dt / substeps
     hh = 0.5 * h
     h6 = h / 6.0
-    acc = _accelerations(params, terrain)
     x, xd, z, zd, th, thd = state.as_tuple()
+    # One road window holds every wheel position of every stage. The
+    # longitudinal equation x_ddot = (u_x - x_dot) / tau does not see the
+    # road, and with h <= tau every stage velocity lies between x_dot and
+    # u_x, so the chassis moves at most dt * v in this call. The margin m adds
+    # a millionth of each magnitude in that arithmetic, far above its
+    # rounding. With h > tau the stages can overshoot u_x, and with
+    # non-finite or overflowing inputs the bound does not hold: then the
+    # window is the whole line, which keeps every bump.
+    tau, L1, L2 = params.tau, params.L1, params.L2
+    v = max(abs(xd), abs(u_x))
+    m = dt * v + 1e-6 * (dt * v + abs(x) + L1 + L2)
+    if h <= tau and abs(x) + m + v + v / tau < 1e300:  # False for NaN
+        road2 = terrain.wheels(x - L2 - m, x + L1 + m)
+    else:
+        road2 = terrain.wheels(-math.inf, math.inf)
+    acc = _accelerations(params, road2)
     for _ in range(substeps):
         a1, b1, c1 = acc(x, xd, z, zd, th, thd, u_x)
         xd1 = xd + hh * a1

@@ -316,6 +316,7 @@ def _holdout_env():
     return BumpEnv(episode=EpisodeConfig(fixed_track=HOLDOUT, max_steps=3600))
 
 
+@pytest.mark.slow
 def test_criterion_09_learned_policy_beats_constant_baseline():
     t0 = time.perf_counter()
     base_m, _ = rollout(_holdout_env(), constant_policy(1.0), seed=0)
@@ -342,6 +343,7 @@ def test_criterion_09_learned_policy_beats_constant_baseline():
                   f"{elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_10_reward_comparison_completes(tmp_path):
     base = TrainConfig(
         episodes=10, seed=0,

@@ -1,11 +1,14 @@
 """TCP environment protocol tests: loopback equivalence and error handling."""
 
+import gc
 import json
 import socket
 import time
+import warnings
 
 import pytest
 
+from bumpsim import protocol
 from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
 from bumpsim.harness import constant_policy, rollout
 from bumpsim.protocol import (
@@ -15,6 +18,7 @@ from bumpsim.protocol import (
     EnvServer,
     RemoteEnv,
     RemoteEnvError,
+    Timeout,
     VersionMismatch,
 )
 from bumpsim.terrain import Bump, TerrainProfile
@@ -81,6 +85,22 @@ class TestHandshake:
             RemoteEnv(listener.getsockname())
         t.join(timeout=5.0)
         listener.close()
+
+
+    def test_failed_handshake_closes_the_socket(self):
+        # A listener that takes the connection and never answers.
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(Timeout):
+                    RemoteEnv(listener.getsockname(), timeout=0.2)
+                gc.collect()  # an unclosed socket warns when it is collected
+        finally:
+            listener.close()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestLoopbackEquivalence:
@@ -236,6 +256,7 @@ class TestErrors:
         with pytest.raises(ConnectionLost):
             for _ in range(50):
                 env.step(1.0)
+        env.close()
 
     def test_request_line_length_is_capped(self, server):
         hello = json.dumps({"type": "hello", "version": PROTOCOL_VERSION})
@@ -251,6 +272,18 @@ class TestErrors:
             pass
         sock.close()
         with RemoteEnv(server.address) as env:  # the server still serves
+            env.reset(seed=0)
+            env.step(1.0)
+
+    def test_idle_session_is_dropped(self, server, monkeypatch):
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT_S", 0.3)
+        sock, reader = raw_session(server.address)  # connects, sends nothing
+        try:
+            assert reader.readline() == b""  # the server ended the session
+        finally:
+            reader.close()
+            sock.close()
+        with RemoteEnv(server.address, timeout=2.0) as env:
             env.reset(seed=0)
             env.step(1.0)
 

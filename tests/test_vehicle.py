@@ -8,6 +8,7 @@ from bumpsim.sensors import CameraSpec, observe
 from bumpsim.terrain import FLAT, Bump, TerrainProfile, TrackSpec, random_track
 from bumpsim.vehicle import (
     GRAVITY_NOMINAL,
+    DynamicsError,
     NonFinite,
     PitchOutOfRange,
     VehicleParams,
@@ -73,8 +74,9 @@ class TestDerivatives:
             def slope(self, x):
                 return 0.0
 
-            def height_slope(self, x):
-                return self.height(x), self.slope(x)
+            def wheels(self, a, b):
+                return lambda x1, x2: (self.height(x1), self.slope(x1),
+                                       self.height(x2), self.slope(x2))
 
         for z, z_dot in [(0.0, 0.0), (0.01, -0.1), (-0.005, 0.2)]:
             d = derivatives(VehicleState(z=z, z_dot=z_dot), 0.0, params, UniformRoad())
@@ -222,6 +224,98 @@ def bits(values):
     return tuple(float(v).hex() for v in values)
 
 
+def outcome(call):
+    """A call's result as bits, or the type of the DynamicsError or
+    arithmetic error it raised; a non-finite result counts as NonFinite, as
+    the fused path raises it."""
+    try:
+        y = call()
+    except (DynamicsError, ArithmeticError) as e:
+        return type(e)
+    return bits(y) if all(math.isfinite(v) for v in y) else NonFinite
+
+
+def run_beside_reference(terrain, y, actions, params):
+    """Step step_rk4 and the reference side by side from state tuple y and
+    check the states and derivatives bit for bit, or that both raise the
+    same error, which ends the run. Returns the states and the end error."""
+    states = [y]
+    for u in actions:
+        got = outcome(lambda: step_rk4(VehicleState(*y), u, params, terrain, DT).as_tuple())
+        want = outcome(lambda: ref_step_rk4(y, u, params, terrain, DT))
+        assert got == want, (y, u)
+        if isinstance(want, type):
+            return states, want
+        y = ref_step_rk4(y, u, params, terrain, DT)
+        states.append(y)
+        assert outcome(lambda: derivatives(VehicleState(*y), u, params, terrain)) \
+            == outcome(lambda: ref_derivatives(*y, u, params, terrain)), (y, u)
+    return states, None
+
+
+def solve(f, target, x):
+    """A float near x with f(x) == target, or None if f steps over it."""
+    for _ in range(8):
+        y = f(x)
+        if y == target:
+            return x
+        x = math.nextafter(x, math.inf if y < target else -math.inf)
+    return None
+
+
+# Bumps out of order, overlapping bumps, a bump at the end of the track and a
+# wide one whose reach covers the whole track.
+UNSORTED = TerrainProfile(bumps=(
+    Bump(0.012, 2.0, 0.05), Bump(0.008, 0.9, 0.04), Bump(0.016, 2.04, 0.02),
+    Bump(0.005, 1.4, 0.3), Bump(0.01, 0.5, 0.01), Bump(0.016, 2.6, 0.03),
+), track_length=2.6)
+
+
+# Short-reach bumps far apart: where a wheel first comes within a bump's
+# reach, the road is a subnormal from that bump alone, so a road window that
+# misses a wheel position changes the result.
+ISOLATED = TerrainProfile(bumps=(Bump(0.008, 0.5, 0.005), Bump(0.008, 1.2, 0.01)),
+                          track_length=1.5)
+FAR = TerrainProfile(bumps=(Bump(0.016, 20.0, 0.3),), track_length=40.0)
+
+_RNG = np.random.default_rng(8)
+ERROR = "error"
+PAST_END = lambda x, length: x > length  # noqa: E731
+# case: (terrain, start state, actions, params, end), where end is a test of
+# the final x and the track length, or ERROR: both paths raise the same error.
+EDGE_CASES = {
+    "unsorted_overlapping": (
+        UNSORTED, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(0.0, 2.0, 360)], VehicleParams(), PAST_END),
+    "from_negative_x_past_track_end": (
+        UNSORTED, (-1.0, 1.5, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(1.0, 2.0, 480)], VehicleParams(), PAST_END),
+    "large_x_dot": (
+        UNSORTED, (0.0, 25.0, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(0.0, 2.0, 40)], VehicleParams(), PAST_END),
+    # Slowing down, so the travel bound comes from x_dot and not u_x; the
+    # car coasts past the first bump.
+    "isolated_coasting": (
+        ISOLATED, (0.0, 3.0, 0.0, 0.0, 0.0, 0.0), [0.0] * 240, VehicleParams(),
+        lambda x, length: 0.8 < x < length),
+    # h = DT / 8 > tau: the stage velocities overshoot u_x, so the window
+    # falls back to all bumps.
+    "tau_below_substep": (
+        UNSORTED, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(0.0, 2.0, 360)], VehicleParams(tau=0.0005),
+        PAST_END),
+    # RK4 diverges on x_dot; within one step the car reaches a bump far
+    # outside the window that x_dot would give.
+    "tau_below_substep_diverging": (
+        FAR, (0.0, 0.01, 0.0, 0.0, 0.0, 0.0), [0.0] * 20, VehicleParams(tau=0.0003),
+        lambda x, length: abs(x) > 1e9),
+    "tau_below_substep_diverging_to_error": (
+        UNSORTED, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(0.0, 2.0, 360)], VehicleParams(tau=0.0003),
+        ERROR),
+}
+
+
 @pytest.fixture
 def dense_track():
     spec = TrackSpec(track_length=5.0, n_bumps=6, sigma_range=(0.02, 0.08),
@@ -234,6 +328,9 @@ class TestFusedPathBitExact:
     def test_height_slope_matches_separate_sums(self, dense_track):
         grid = [float(x) for x in np.linspace(-1.0, 6.0, 2801)]
         grid += [b.center for b in dense_track.bumps]
+        # Each bump's reach on both sides, and the next float beyond it.
+        for _, lo, hi, _ in dense_track._zero_bands:
+            grid += [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
         for terrain in (dense_track, FLAT):
             for x in grid:
                 got = terrain.height_slope(x)
@@ -257,6 +354,62 @@ class TestFusedPathBitExact:
             pitch_seen = max(pitch_seen, abs(state.theta))
         assert state.x > 3.2  # every bump was crossed
         assert pitch_seen > 1e-4
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-160, 1e-200, 1e200])
+    def test_extreme_bumps_match_separate_sums(self, sigma):
+        # A variance near or below the normal range: far from the bump the
+        # reference slope is inf * 0.0 = NaN, or a zero variance divides by
+        # zero. Such a bump is never left out, so the errors stay the same.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 5.0, sigma),), track_length=2000.0)
+        for x in (5.0, 4.0, 1000.0):
+            assert outcome(lambda: terrain.height_slope(x)) == \
+                outcome(lambda: (ref_height(terrain, x), ref_slope(terrain, x))), x
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_step_rk4_matches_reference_at_edges(self, case):
+        terrain, y, actions, params, end = EDGE_CASES[case]
+        states, error = run_beside_reference(terrain, y, actions, params)
+        if end is ERROR:
+            assert error is not None
+        else:
+            assert error is None
+            assert end(states[-1][0], terrain.track_length)
+
+    def test_wheel_exactly_at_reach(self, params, dense_track):
+        # A rear wheel at a bump's reach behind it, or a front wheel at its
+        # reach ahead, keeps the bump; one float further on leaves it out.
+        # Both must match the reference.
+        L1, L2 = params.L1, params.L2
+        placed = 0
+        for _, lo, hi, _ in dense_track._zero_bands:
+            for target in (hi, math.nextafter(hi, math.inf)):
+                placed += self._check_at(params, dense_track, solve(
+                    lambda x: x - L2, target, target + L2))
+            for target in (lo, math.nextafter(lo, -math.inf)):
+                placed += self._check_at(params, dense_track, solve(
+                    lambda x: x + L1, target, target - L1))
+        assert placed >= 12
+
+    @staticmethod
+    def _check_at(params, terrain, x):
+        if x is None:
+            return 0
+        y = (x, 0.0, 0.002, -0.01, 0.0, 0.05)
+        assert outcome(lambda: derivatives(VehicleState(*y), 0.0, params, terrain)) \
+            == outcome(lambda: ref_derivatives(*y, 0.0, params, terrain))
+        run_beside_reference(terrain, y, [0.0, 1.0], params)
+        return 1
+
+    def test_far_bumps_are_not_summed(self, params, monkeypatch):
+        # The bump at 8 m is far past its reach of the car at 0 m: each of
+        # the 8 x 4 RK4 stages takes one exp per wheel, for the near bump.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 8.0, 0.05), Bump(0.008, 1.0, 0.05)),
+                                 track_length=10.0)
+        exps = []
+        real_exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda v: exps.append(v) or real_exp(v))
+        step_rk4(VehicleState(x_dot=1.0), 1.0, params, terrain, DT)
+        assert len(exps) == 8 * 4 * 2
 
     def test_env_imu_reads_model_z_ddot_plus_gravity(self, dense_track):
         env = BumpEnv(episode=EpisodeConfig(fixed_track=dense_track,
