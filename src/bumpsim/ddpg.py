@@ -251,6 +251,32 @@ class OUNoise:
         return self.value
 
 
+def _write_json(f, v):
+    """Write the bytes of json.dump(v, f), one matrix row at a time.
+
+    json.dump goes through the pure-Python encoder: for a 64x64 agent it
+    takes about twice as long. json.dumps uses the C encoder, but it holds
+    the chunks of the whole document at once, which for that agent adds
+    about 4 MB to peak RSS. Splitting dicts and lists of lists, and handing
+    the C encoder only what is left, keeps its speed and holds one row.
+    """
+    if isinstance(v, dict):
+        f.write("{")
+        for i, (k, x) in enumerate(v.items()):
+            f.write((", " if i else "") + json.dumps(k) + ": ")
+            _write_json(f, x)
+        f.write("}")
+    elif isinstance(v, list) and v and isinstance(v[0], list):
+        f.write("[")
+        for i, x in enumerate(v):
+            if i:
+                f.write(", ")
+            _write_json(f, x)
+        f.write("]")
+    else:
+        f.write(json.dumps(v))
+
+
 class DdpgAgent:
     """Actor-critic agent with target networks and a replay buffer."""
 
@@ -392,7 +418,7 @@ class DdpgAgent:
         }
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
-            json.dump(doc, f)
+            _write_json(f, doc)
         os.replace(tmp, path)
 
     @classmethod

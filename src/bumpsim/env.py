@@ -155,14 +155,14 @@ class BumpEnv:
         if not math.isfinite(action):
             raise NonFiniteAction(f"action must be finite, got {action}")
         u_x = min(max(float(action), 0.0), self.params.u_max)
-        self._state = step_rk4(
+        # step_rk4 also returns the model z_ddot at the new state; it serves
+        # both the IMU channel and info, which keeps the raw value:
+        # (z_ddot + 9.8) - 9.8 need not equal z_ddot.
+        self._state, z_ddot = step_rk4(
             self._state, u_x, self.params, self._terrain, self.episode.dt
         )
         self._steps += 1
         self._t += self.episode.dt
-        # One model evaluation serves both the IMU channel and info, which
-        # keeps the raw z_ddot: (z_ddot + 9.8) - 9.8 need not equal z_ddot.
-        z_ddot = derivatives(self._state, u_x, self.params, self._terrain)[3]
         obs = observe(self._state, z_ddot, self._terrain, self.camera, self.params)
         r = reward(obs, self.reward_spec)
         self._done = (

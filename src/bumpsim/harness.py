@@ -77,19 +77,13 @@ class TrainResult:
     metrics_csv_path: str | None = None
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal form so CSVs reparse to the exact value."""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: str, header, rows):
+    """csv.writer formats a float with str(), which for a Python float is the
+    shortest decimal form that reparses to the exact value."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
 
 
 def metrics_from_trace(acc_meas, x_dot, rewards, x_dot_d: float) -> Metrics:

@@ -156,6 +156,8 @@ class EnvServer:
             msg = json.loads(line)
         except json.JSONDecodeError:
             return _error("BAD_REQUEST", "malformed JSON"), False
+        except RecursionError:
+            return _error("BAD_REQUEST", "JSON nested too deeply"), False
         if not isinstance(msg, dict) or "type" not in msg:
             return _error("BAD_REQUEST", "request must be an object with 'type'"), False
         kind = msg["type"]
@@ -190,8 +192,12 @@ class EnvServer:
             }, False
         if kind == "step":
             u_x = msg.get("u_x")
-            if not isinstance(u_x, (int, float)) or isinstance(u_x, bool) \
-                    or not math.isfinite(u_x):
+            try:
+                finite = isinstance(u_x, (int, float)) and not isinstance(u_x, bool) \
+                    and math.isfinite(u_x)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 return _error("BAD_REQUEST", "u_x must be a finite number"), False
             try:
                 obs, r, done, info = env.step(float(u_x))

@@ -94,12 +94,17 @@ class TerrainProfile:
         either to these sums changes no bit: they start at +0.0, and a
         round-to-nearest sum is -0.0 only when both operands are, so they are
         never -0.0. A window with a NaN or infinite end keeps every bump.
+
+        Returns None when no bump is left: every term is +0.0 or -0.0 on the
+        whole window, and road2 would return (0.0, 0.0, 0.0, 0.0).
         """
         # A list: tuple() over a generator allocates a larger tuple and
         # shrinks it, and those shrunk tuples pile up on CPython's tuple free
         # lists (about 0.4 MB of peak RSS over an episode).
         terms = [t for t, (far_lo, lo, hi, far_hi) in zip(self._terms, self._zero_bands)
                  if not (far_lo <= a and b < lo or hi < a and b <= far_hi)]
+        if not terms:
+            return None
         exp = math.exp
 
         def road2(x1, x2):
@@ -119,7 +124,10 @@ class TerrainProfile:
 
     def height_slope(self, x: float) -> tuple[float, float]:
         """Road elevation g(x) and its analytic derivative g'(x)."""
-        g, g_x, _, _ = self.wheels(x, x)(x, x)
+        road2 = self.wheels(x, x)
+        if road2 is None:
+            return 0.0, 0.0
+        g, g_x, _, _ = road2(x, x)
         return g, g_x
 
     def height(self, x: float) -> float:

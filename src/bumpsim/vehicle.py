@@ -74,15 +74,17 @@ def _accelerations(p: VehicleParams, road2):
 
     road2(x1, x2) -> (g(x1), g'(x1), g(x2), g'(x2)) gives the road at the
     front and rear wheels, as from terrain.wheels(a, b); it must be exact at
-    every wheel position the caller evaluates. Returns acc(x, x_dot, z,
-    z_dot, theta, theta_dot, u_x) -> (x_ddot, z_ddot, theta_ddot) on unpacked
-    scalars; the other three components of the state derivative are the
-    state's own rates.
+    every wheel position the caller evaluates. None stands for a road2 that
+    returns (0.0, 0.0, 0.0, 0.0), a window no bump reaches, and costs no call.
+    Returns acc(x, x_dot, z, z_dot, theta, theta_dot, u_x) -> (x_ddot, z_ddot,
+    theta_ddot) on unpacked scalars; the other three components of the state
+    derivative are the state's own rates.
     """
     L1, L2, k1, k2, c1, c2 = p.L1, p.L2, p.k1, p.k2, p.c1, p.c2
     m, inertia, tau = p.m, p.inertia, p.tau
     sin, cos = math.sin, math.cos
     half_pi = math.pi / 2
+    flat = road2 is None
 
     def acc(x, x_dot, z, z_dot, theta, theta_dot, u_x):
         if not (-half_pi < theta < half_pi):
@@ -94,7 +96,7 @@ def _accelerations(p: VehicleParams, road2):
         # Road height and slope at each wheel; both axles share the chassis
         # forward speed. With |theta| < pi/2, 0 < c <= 1, so the wheels lie
         # in [x - L2, x + L1].
-        zh1, g1, zh2, g2 = road2(x + l1c, x - l2c)
+        zh1, g1, zh2, g2 = (0.0, 0.0, 0.0, 0.0) if flat else road2(x + l1c, x - l2c)
         # Suspension forces from the deflections (measured from static
         # equilibrium) and their rates.
         f1 = k1 * ((z - L1 * s) - zh1) + c1 * ((z_dot - l1c * theta_dot) - g1 * x_dot)
@@ -104,6 +106,16 @@ def _accelerations(p: VehicleParams, road2):
     return acc
 
 
+def _rates(acc, y, u_x):
+    """The state derivative at state tuple y through acc, checked finite."""
+    x, x_dot, z, z_dot, theta, theta_dot = y
+    x_ddot, z_ddot, theta_ddot = acc(x, x_dot, z, z_dot, theta, theta_dot, u_x)
+    out = (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
+    if not all(map(math.isfinite, out)):
+        raise NonFinite(f"non-finite derivative: {out}")
+    return out
+
+
 def derivatives(state: VehicleState, u_x: float, params: VehicleParams,
                 terrain) -> tuple[float, float, float, float, float, float]:
     """Evaluate the equations of motion for a commanded velocity u_x.
@@ -111,19 +123,18 @@ def derivatives(state: VehicleState, u_x: float, params: VehicleParams,
     Returns the time derivative of each VehicleState field, in field order:
     (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot).
     """
-    x, x_dot, z, z_dot, theta, theta_dot = state.as_tuple()
+    x = state.x
     road2 = terrain.wheels(x - params.L2, x + params.L1)
-    x_ddot, z_ddot, theta_ddot = _accelerations(params, road2)(
-        x, x_dot, z, z_dot, theta, theta_dot, u_x)
-    out = (x_dot, x_ddot, z_dot, z_ddot, theta_dot, theta_ddot)
-    if not all(math.isfinite(v) for v in out):
-        raise NonFinite(f"non-finite derivative: {out}")
-    return out
+    return _rates(_accelerations(params, road2), state.as_tuple(), u_x)
 
 
 def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
-             terrain, dt: float, substeps: int = 8) -> VehicleState:
+             terrain, dt: float, substeps: int = 8) -> tuple[VehicleState, float]:
     """Advance one control period with classical RK4; u_x is zero-order held.
+
+    Returns (new state, z_ddot), where z_ddot is the heave acceleration at
+    the new state under u_x, the value derivatives(new state, u_x, ...)[3]
+    gives, with the same errors.
 
     The period is split into equal substeps because the overdamped pitch mode
     decays at ~1.3e3 1/s with the default parameters, outside RK4's stability
@@ -152,7 +163,9 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     # a millionth of each magnitude in that arithmetic, far above its
     # rounding. With h > tau the stages can overshoot u_x, and with
     # non-finite or overflowing inputs the bound does not hold: then the
-    # window is the whole line, which keeps every bump.
+    # window is the whole line, which keeps every bump. Either way the window
+    # also holds the wheels of the end state, so the same road serves the
+    # z_ddot returned with it.
     tau, L1, L2 = params.tau, params.L1, params.L2
     v = max(abs(xd), abs(u_x))
     m = dt * v + 1e-6 * (dt * v + abs(x) + L1 + L2)
@@ -182,9 +195,9 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
         zd = zd + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         thd = thd + h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
     y = (x, xd, z, zd, th, thd)
-    if not all(math.isfinite(v) for v in y):
+    if not all(map(math.isfinite, y)):
         raise NonFinite(f"non-finite state after RK4 step: {y}")
-    return VehicleState(*y)
+    return VehicleState(*y), _rates(acc, y, u_x)[3]
 
 
 def mechanical_energy(state: VehicleState, params: VehicleParams) -> float:

@@ -67,7 +67,7 @@ def test_criterion_01_velocity_lag_step_response_and_rk4_order():
     worst = 0.0
     checkpoints = {round(k * tau / DT) for k in (1, 2, 3)}
     for n in range(1, max(checkpoints) + 1):
-        state = step_rk4(state, u, params, FLAT, DT)
+        state, _ = step_rk4(state, u, params, FLAT, DT)
         if n in checkpoints:
             want = u * (1.0 - math.exp(-n * DT / tau))
             worst = max(worst, abs(state.x_dot - want))
@@ -79,7 +79,7 @@ def test_criterion_01_velocity_lag_step_response_and_rk4_order():
     for dt in (0.09, 0.045, 0.0225):
         s = flat_state()
         for _ in range(round(horizon / dt)):
-            s = step_rk4(s, u, params, FLAT, dt, substeps=1)
+            s, _ = step_rk4(s, u, params, FLAT, dt, substeps=1)
         errs.append(abs(s.x_dot - u * (1.0 - math.exp(-horizon / tau))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     elapsed = time.perf_counter() - t0
@@ -97,7 +97,7 @@ def test_criterion_02_equilibrium_and_energy_dissipation():
     eq = state
     fixed = True
     for _ in range(10_000):
-        state = step_rk4(state, 0.0, params, FLAT, DT)
+        state, _ = step_rk4(state, 0.0, params, FLAT, DT)
         if state != eq:
             fixed = False
             break
@@ -114,7 +114,7 @@ def test_criterion_02_equilibrium_and_energy_dissipation():
         )
         e = mechanical_energy(s, params)
         for _ in range(100):
-            s = step_rk4(s, 0.0, params, FLAT, DT)
+            s, _ = step_rk4(s, 0.0, params, FLAT, DT)
             e_next = mechanical_energy(s, params)
             worst_rise = max(worst_rise, e_next - e)
             e = e_next

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,18 +368,27 @@ class TestCheckpoint:
         agent = DdpgAgent(AgentConfig(hidden_sizes=(4, 4)), seed=0)
         path = str(tmp_path / "ckpt.json")
         agent.save(path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc[key]["weights"][0] = [[1.0]]
         with open(path, "w") as f:
             json.dump(doc, f)
         with pytest.raises(CheckpointError):
             DdpgAgent.load(path)
 
+    def test_checkpoint_is_one_json_encoding(self, tmp_path):
+        # save writes dict values one at a time; the file must still be
+        # exactly what json.dump writes for the whole document.
+        agent = DdpgAgent(AgentConfig(hidden_sizes=(4, 4)), seed=0)
+        path = str(tmp_path / "ckpt.json")
+        agent.save(path)
+        text = Path(path).read_text()
+        assert json.dumps(json.loads(text)) == text
+
     def test_rejects_other_format_version(self, tmp_path):
         agent = DdpgAgent(AgentConfig(), seed=0)
         path = str(tmp_path / "ckpt.json")
         agent.save(path)
-        doc = json.loads(open(path).read())
+        doc = json.loads(Path(path).read_text())
         doc["format_version"] = 99
         with open(path, "w") as f:
             json.dump(doc, f)
@@ -389,7 +399,7 @@ class TestCheckpoint:
         agent = DdpgAgent(AgentConfig(), seed=0)
         path = str(tmp_path / "ckpt.json")
         agent.save(path)
-        blob = open(path).read()
+        blob = Path(path).read_text()
         with open(path, "w") as f:
             f.write(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):

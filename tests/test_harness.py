@@ -1,6 +1,7 @@
 """Training loop, metrics, baselines, and experiment recipe tests."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestCsv:
         assert r[0] == ["a", "b", "c", "d"]
         assert [float(s) for s in r[1]] == vals
 
+    def test_extreme_floats_round_trip_bit_for_bit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        vals = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, math.inf]
+        write_csv(str(path), ["a", "b", "c", "d", "e"], [vals, [1, "x", True, 0.5, -2.5]])
+        lines = path.read_text().splitlines()
+        assert lines[1] == ",".join(map(repr, vals))  # the shortest round-trip forms
+        assert lines[2] == "1,x,True,0.5,-2.5"
+        got = [float(s) for s in lines[1].split(",")]
+        assert [v.hex() for v in got] == [v.hex() for v in vals]
+
 
 class TestSeeds:
     def test_episode_seed_sequence_deterministic(self):
@@ -157,16 +168,16 @@ class TestTrain:
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         r1 = train(tiny_train_config(d1, seed=3))
         r2 = train(tiny_train_config(d2, seed=3))
-        csv1 = open(r1.metrics_csv_path, "rb").read()
-        csv2 = open(r2.metrics_csv_path, "rb").read()
+        csv1 = Path(r1.metrics_csv_path).read_bytes()
+        csv2 = Path(r2.metrics_csv_path).read_bytes()
         assert csv1 == csv2
         assert r1.episode_seeds == r2.episode_seeds
 
     def test_different_seeds_differ(self, tmp_path):
         r1 = train(tiny_train_config(tmp_path / "a", seed=1))
         r2 = train(tiny_train_config(tmp_path / "b", seed=2))
-        assert open(r1.metrics_csv_path, "rb").read() != \
-            open(r2.metrics_csv_path, "rb").read()
+        assert Path(r1.metrics_csv_path).read_bytes() != \
+            Path(r2.metrics_csv_path).read_bytes()
 
     def test_no_updates_before_warmup(self):
         cfg = tiny_train_config(

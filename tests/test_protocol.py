@@ -229,6 +229,28 @@ class TestErrors:
         assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
         sock.close()
 
+    @pytest.mark.parametrize("line", [
+        # An integer beyond the float range: math.isfinite raises OverflowError.
+        json.dumps({"type": "step", "u_x": 10**400}),
+        # Nesting past the parser's recursion limit: RecursionError.
+        "[" * 2000 + "]" * 2000,
+    ], ids=["huge_integer_u_x", "deep_nesting"])
+    def test_requests_that_used_to_kill_the_server(self, server, line):
+        # Either request used to end the session handler with an exception
+        # and with it the server thread, so the next client timed out.
+        assert len(line) < MAX_REQUEST_BYTES
+        sock, reader = raw_session(server.address)
+        send_line(sock, reader, json.dumps({"type": "reset", "seed": 0}))
+        resp = send_line(sock, reader, line)
+        assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        resp = send_line(sock, reader, json.dumps({"type": "step", "u_x": 1.0}))
+        assert resp["type"] == "state"
+        reader.close()
+        sock.close()
+        with RemoteEnv(server.address, timeout=2.0) as env:  # the server still serves
+            env.reset(seed=0)
+            env.step(1.0)
+
     def test_exactly_one_response_per_request(self, server):
         sock, reader = raw_session(server.address)
         lines = [

@@ -87,21 +87,21 @@ class TestStepRk4:
     def test_equilibrium_preserved(self, params):
         state = VehicleState()
         for _ in range(100):
-            state = step_rk4(state, 0.0, params, FLAT, DT)
+            state, _ = step_rk4(state, 0.0, params, FLAT, DT)
         assert state == VehicleState()
 
     def test_velocity_step_response_closed_form(self, params):
         # tau x_ddot + x_dot = u has solution x_dot = 1 - exp(-t / tau).
         state = VehicleState()
         for _ in range(36):  # 0.3 s = tau
-            state = step_rk4(state, 1.0, params, FLAT, DT)
+            state, _ = step_rk4(state, 1.0, params, FLAT, DT)
         assert state.x_dot == pytest.approx(1 - math.exp(-1), abs=1e-6)
 
     def test_convergence_is_fourth_order(self, params):
         def final_xdot(dt, steps):
             s = VehicleState()
             for _ in range(steps):
-                s = step_rk4(s, 1.0, params, FLAT, dt, substeps=1)
+                s, _ = step_rk4(s, 1.0, params, FLAT, dt, substeps=1)
             return s.x_dot
 
         ref = final_xdot(0.0125, 80)  # dt/4 reference over 1 s
@@ -123,7 +123,7 @@ class TestStepRk4:
             )
             energy = mechanical_energy(state, params)
             for _ in range(100):
-                state = step_rk4(state, 0.0, params, FLAT, DT)
+                state, _ = step_rk4(state, 0.0, params, FLAT, DT)
                 new_energy = mechanical_energy(state, params)
                 assert new_energy <= energy + 1e-9
                 energy = new_energy
@@ -135,8 +135,7 @@ class TestStepRk4:
         state = VehicleState(x_dot=1.0)
         peak = 0.0
         for _ in range(360):
-            state = step_rk4(state, 1.0, params, terrain, DT)
-            z_ddot = derivatives(state, 1.0, params, terrain)[3]
+            state, z_ddot = step_rk4(state, 1.0, params, terrain, DT)
             peak = max(peak, abs(z_ddot))
         assert math.isfinite(state.z)
         assert peak > 0.1  # the bump actually excites the chassis
@@ -235,14 +234,33 @@ def outcome(call):
     return bits(y) if all(math.isfinite(v) for v in y) else NonFinite
 
 
+def fused_step(y, u_x, p, terrain):
+    """step_rk4 from state tuple y: the new state and its z_ddot, as a tuple."""
+    state, z_ddot = step_rk4(VehicleState(*y), u_x, p, terrain, DT)
+    return state.as_tuple() + (z_ddot,)
+
+
+def ref_step(y, u_x, p, terrain):
+    """ref_step_rk4, then ref_derivatives at the new state for its z_ddot,
+    with the state checked before the derivative, as step_rk4 checks them."""
+    y = ref_step_rk4(y, u_x, p, terrain, DT)
+    if not all(map(math.isfinite, y)):
+        raise NonFinite(y)
+    d = ref_derivatives(*y, u_x, p, terrain)
+    if not all(map(math.isfinite, d)):
+        raise NonFinite(d)
+    return y + (d[3],)
+
+
 def run_beside_reference(terrain, y, actions, params):
     """Step step_rk4 and the reference side by side from state tuple y and
-    check the states and derivatives bit for bit, or that both raise the
-    same error, which ends the run. Returns the states and the end error."""
+    check the states, the returned z_ddot and the derivatives bit for bit,
+    or that both raise the same error, which ends the run. Returns the
+    states and the end error."""
     states = [y]
     for u in actions:
-        got = outcome(lambda: step_rk4(VehicleState(*y), u, params, terrain, DT).as_tuple())
-        want = outcome(lambda: ref_step_rk4(y, u, params, terrain, DT))
+        got = outcome(lambda: fused_step(y, u, params, terrain))
+        want = outcome(lambda: ref_step(y, u, params, terrain))
         assert got == want, (y, u)
         if isinstance(want, type):
             return states, want
@@ -313,7 +331,22 @@ EDGE_CASES = {
         UNSORTED, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0),
         [float(u) for u in _RNG.uniform(0.0, 2.0, 360)], VehicleParams(tau=0.0003),
         ERROR),
+    # No bump reaches the window, so the road is taken as zeros without a
+    # call. Rolling backwards makes the slope times x_dot -0.0. From a
+    # vertical state of signed zeros the sign of a zero road term can reach
+    # the result: the first of the next two cases fails if the front wheel's
+    # slope is taken as -0.0, the second if its height is.
+    "empty_window_reversing": (
+        FAR, (1.0, -0.4, 0.003, -0.0, -0.0, 0.02), [0.0] * 60, VehicleParams(),
+        lambda x, length: 0.0 < x < 1.0),
+    "empty_window_reversing_from_signed_zeros": (
+        FAR, (1.0, -0.4, -0.0, -0.0, -0.0, -0.0), [0.0] * 60, VehicleParams(),
+        lambda x, length: 0.0 < x < 1.0),
+    "empty_window_forward_from_signed_zeros": (
+        FAR, (1.0, 0.4, -0.0, -0.0, -0.0, -0.0), [0.0] * 60, VehicleParams(),
+        lambda x, length: 1.0 < x < 2.0),
 }
+EMPTY_WINDOW_CASES = [c for c in EDGE_CASES if c.startswith("empty_window")]
 
 
 @pytest.fixture
@@ -345,12 +378,13 @@ class TestFusedPathBitExact:
         pitch_seen = 0.0
         for _ in range(400):
             u = float(rng.uniform(0.0, 2.0))
-            state = step_rk4(state, u, params, dense_track, DT)
+            state, z_ddot = step_rk4(state, u, params, dense_track, DT)
             ref = ref_step_rk4(ref, u, params, dense_track, DT)
             assert bits(state.as_tuple()) == bits(ref)
             d = derivatives(state, u, params, dense_track)
             assert bits(d) == bits(
                 ref_derivatives(*ref, u, params, dense_track))
+            assert bits([z_ddot]) == bits([d[3]])
             pitch_seen = max(pitch_seen, abs(state.theta))
         assert state.x > 3.2  # every bump was crossed
         assert pitch_seen > 1e-4
@@ -400,16 +434,56 @@ class TestFusedPathBitExact:
         run_beside_reference(terrain, y, [0.0, 1.0], params)
         return 1
 
+    @pytest.mark.parametrize("case", EMPTY_WINDOW_CASES)
+    def test_empty_window_has_no_road(self, params, case):
+        # Every state of these cases has a road window, wider than
+        # step_rk4's, that no bump reaches.
+        terrain, y, actions, _, _ = EDGE_CASES[case]
+        states, _ = run_beside_reference(terrain, y, actions, params)
+        for x, *_ in states:
+            assert terrain.wheels(x - params.L2 - 0.1, x + params.L1 + 0.1) is None
+        assert FLAT.wheels(-math.inf, math.inf) is None
+        assert terrain.wheels(-math.inf, math.inf) is not None
+
+    def test_end_state_error_is_the_one_derivatives_raises(self, params):
+        # A road that is flat before a point and infinitely steep from it on.
+        # With the point at the end state's front wheel, every RK4 stage sees
+        # a flat road and only the z_ddot evaluation at the end state fails.
+        class Cliff:
+            def __init__(self, at):
+                self.at = at
+                self.front_wheels = []
+
+            def wheels(self, a, b):
+                def road2(x1, x2):
+                    self.front_wheels.append(x1)
+                    return 0.0, (math.inf if x1 >= self.at else 0.0), 0.0, 0.0
+                return road2
+
+        start = VehicleState(x_dot=0.5)
+        probe = Cliff(math.inf)
+        end, _ = step_rk4(start, 1.0, params, probe, DT)
+        *stages, at = probe.front_wheels
+        assert len(stages) == 8 * 4 and max(stages) < at
+        cliff = Cliff(at)
+        with pytest.raises(NonFinite) as got:
+            step_rk4(start, 1.0, params, cliff, DT)
+        with pytest.raises(NonFinite) as want:
+            derivatives(end, 1.0, params, cliff)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite derivative: ")
+
     def test_far_bumps_are_not_summed(self, params, monkeypatch):
         # The bump at 8 m is far past its reach of the car at 0 m: each of
-        # the 8 x 4 RK4 stages takes one exp per wheel, for the near bump.
+        # the 8 x 4 RK4 stages takes one exp per wheel, for the near bump,
+        # and so does the one evaluation at the end state for its z_ddot.
         terrain = TerrainProfile(bumps=(Bump(0.008, 8.0, 0.05), Bump(0.008, 1.0, 0.05)),
                                  track_length=10.0)
         exps = []
         real_exp = math.exp
         monkeypatch.setattr(math, "exp", lambda v: exps.append(v) or real_exp(v))
         step_rk4(VehicleState(x_dot=1.0), 1.0, params, terrain, DT)
-        assert len(exps) == 8 * 4 * 2
+        assert len(exps) == 8 * 4 * 2 + 2
 
     def test_env_imu_reads_model_z_ddot_plus_gravity(self, dense_track):
         env = BumpEnv(episode=EpisodeConfig(fixed_track=dense_track,
