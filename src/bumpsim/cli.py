@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -56,9 +57,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     if (args.checkpoint is None) == (args.constant_velocity is None):
-        print("eval: give exactly one of --checkpoint or --constant-velocity",
-              file=sys.stderr)
-        return 1
+        raise ValueError(
+            "give exactly one of --checkpoint or --constant-velocity")
+    if (args.constant_velocity is not None
+            and not math.isfinite(args.constant_velocity)):
+        raise ValueError("--constant-velocity must be finite")
+    if args.episodes < 1:
+        raise ValueError("--episodes must be >= 1")
     resolved = _load_resolved(args.config)
     env = _env(resolved)
     if args.checkpoint is not None:
@@ -77,11 +82,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.step <= 0.0:
-        print("sweep: --step must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("--step must be positive")
     if args.max < args.min:
-        print("sweep: --max must be >= --min", file=sys.stderr)
-        return 1
+        raise ValueError("--max must be >= --min")
     resolved = _load_resolved(args.config)
     n = int(round((args.max - args.min) / args.step)) + 1
     velocities = [args.min + i * args.step for i in range(n)]

@@ -60,10 +60,15 @@ _TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
 
 def _is(value, t) -> bool:
-    """A float key takes any JSON number, an int key only integers; a
-    boolean is neither."""
+    """A float key takes any JSON number that float() converts, an int key
+    only integers; a boolean is neither."""
     if isinstance(value, bool):
         return t is bool
+    if t is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
     return isinstance(value, (int, float) if t is float else t)
 
 
@@ -117,7 +122,7 @@ def load(path: str) -> dict:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"invalid JSON in {path}: {e}") from e
     return resolve(doc)
 

@@ -118,14 +118,7 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x has shape (batch, sizes[0])."""
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
-            h += b
-            if i != last:
-                np.tanh(h, out=h)
-        return h
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass retaining per-layer activations for backward()."""
@@ -166,28 +159,29 @@ def _concat(grads) -> np.ndarray:
     return np.concatenate([g.ravel() for g in grads])
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam optimizer over a flat list of parameter arrays."""
+    """Adam optimizer over one flat parameter vector, updated in place."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
-        self.params = params
+    def __init__(self, param: np.ndarray, lr: float):
+        self.param = param
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
 
-    def step(self, grads):
+    def step(self, grad: np.ndarray):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        self.param -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 class ReplayBuffer:
@@ -232,7 +226,6 @@ class OUNoise:
     """Mean-reverting exploration noise with multiplicative variance decay."""
 
     def __init__(self, variance=0.8, decay=1e-4, floor=0.01, mean_reversion=0.15):
-        self.initial_variance = variance
         self.variance = variance
         self.decay = decay
         self.floor = floor
@@ -292,8 +285,8 @@ class DdpgAgent:
         self.critic = Mlp((4, *h, 1), rng=init_rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.actor_opt = Adam([self.actor.flat], lr=config.actor_lr)
-        self.critic_opt = Adam([self.critic.flat], lr=config.critic_lr)
+        self.actor_opt = Adam(self.actor.flat, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic.flat, lr=config.critic_lr)
         self.buffer = ReplayBuffer(config.buffer_capacity)
         self.noise = OUNoise(
             variance=config.noise_variance,
@@ -355,7 +348,7 @@ class DdpgAgent:
         critic_loss = float(np.mean(td * td))
         grad_q = (2.0 / n) * td[:, None]
         gw, gb, _ = self.critic.backward(cache, grad_q)
-        self.critic_opt.step([_concat(gw + gb)])
+        self.critic_opt.step(_concat(gw + gb))
 
         # Actor: ascend mean Q(s, mu(s)) by chaining critic input gradients
         # through the tanh squash into the actor.
@@ -369,7 +362,7 @@ class DdpgAgent:
         grad_y = grad_a * 0.5 * (1.0 - np.tanh(ay) ** 2)
         gw, gb, _ = self.actor.backward(acache, grad_y)
         # Negate: the optimizer minimizes, the actor maximizes Q.
-        self.actor_opt.step([-_concat(gw + gb)])
+        self.actor_opt.step(-_concat(gw + gb))
 
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
 
@@ -397,8 +390,8 @@ class DdpgAgent:
         def opt(o: Adam, m: Mlp):
             return {
                 "t": o.t,
-                "m": [a.tolist() for a in m.split(o.m[0])],
-                "v": [a.tolist() for a in m.split(o.v[0])],
+                "m": [a.tolist() for a in m.split(o.m)],
+                "v": [a.tolist() for a in m.split(o.v)],
             }
 
         doc = {
@@ -426,7 +419,7 @@ class DdpgAgent:
         try:
             with open(path) as f:
                 doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise CheckpointError(f"unreadable checkpoint {path}: {e}") from e
         if not isinstance(doc, dict):
             raise CheckpointError(
@@ -450,8 +443,8 @@ class DdpgAgent:
 
         def load_opt(o: Adam, m: Mlp, d):
             o.t = d["t"]
-            fill(m.split(o.m[0]), d["m"])
-            fill(m.split(o.v[0]), d["v"])
+            fill(m.split(o.m), d["m"])
+            fill(m.split(o.v), d["v"])
 
         try:
             cfg_doc = dict(doc["config"])

@@ -61,6 +61,13 @@ def _error(code: str, message: str) -> dict:
     return {"type": "error", "code": code, "message": message}
 
 
+def _state(obs: Observation, reward, done: bool, info: dict) -> dict:
+    """The response to a reset (reward None) or a step."""
+    return {"type": "state",
+            "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas, "p": obs.p},
+            "reward": reward, "done": done, "info": info}
+
+
 def _env_error(e: Exception) -> dict:
     """In-band error for an exception the env raised while serving a request:
     the session stays open and the client may reset."""
@@ -77,7 +84,7 @@ class EnvServer:
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             self._sock.bind((host, port))
-        except OSError as e:
+        except (OSError, OverflowError) as e:  # OverflowError: port out of range
             self._sock.close()
             raise OSError(f"cannot bind {host}:{port}: {e}") from e
         self._sock.listen(1)
@@ -182,14 +189,7 @@ class EnvServer:
                 obs = env.reset(seed=seed)
             except (ValueError, DynamicsError) as e:
                 return _env_error(e), False
-            return {
-                "type": "state",
-                "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas,
-                        "p": obs.p},
-                "reward": None,
-                "done": False,
-                "info": {},
-            }, False
+            return _state(obs, None, False, {}), False
         if kind == "step":
             u_x = msg.get("u_x")
             try:
@@ -205,14 +205,7 @@ class EnvServer:
                 return _error("NOT_RESET", "step before reset"), False
             except (ValueError, DynamicsError) as e:
                 return _env_error(e), False
-            return {
-                "type": "state",
-                "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas,
-                        "p": obs.p},
-                "reward": r,
-                "done": done,
-                "info": info,
-            }, False
+            return _state(obs, r, done, info), False
         if kind == "close":
             return {"type": "closed"}, True
         return _error("BAD_REQUEST", f"unknown request type {kind!r}"), False

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -137,24 +136,6 @@ class TerrainProfile:
     def slope(self, x: float) -> float:
         """Analytic derivative g'(x)."""
         return self.height_slope(x)[1]
-
-    def to_json(self) -> str:
-        doc = {
-            "track_length": self.track_length,
-            "bumps": [
-                {"H": b.height, "mu": b.center, "sigma": b.spread} for b in self.bumps
-            ],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TerrainProfile":
-        doc = json.loads(text)
-        bumps = tuple(
-            Bump(height=b["H"], center=b["mu"], spread=b["sigma"])
-            for b in doc["bumps"]
-        )
-        return cls(bumps=bumps, track_length=doc["track_length"])
 
 
 @dataclass(frozen=True)

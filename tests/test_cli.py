@@ -66,6 +66,14 @@ class TestArgHandling:
         ({"terrain": {"n_bumps": -1}}, "terrain.n_bumps"),
         ({"terrain": {"bump_height": -0.01}}, "terrain.bump_height"),
         ({"agent": {"hidden_sizes": [0]}}, "agent.hidden_sizes"),
+        # Integers that float() cannot convert, in every kind of float key.
+        ({"vehicle": {"m": 10**400}}, "vehicle.m"),
+        ({"episode": {"dt": 10**400}}, "episode.dt"),
+        ({"reward": {"w2": -10**400}}, "reward.w2"),
+        ({"terrain": {"bump_height": 10**400}}, "terrain.bump_height"),
+        ({"terrain": {"sigma_range": [0.03, 10**400]}}, "terrain.sigma_range"),
+        ({"terrain": {"fixed_bumps": [{"H": 0.01, "mu": 5.0,
+                                       "sigma": 10**400}]}}, "terrain.fixed_bumps"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):
@@ -75,6 +83,16 @@ class TestArgHandling:
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_deeply_nested_config_exits_1_before_any_output(self, tmp_path,
+                                                             capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"train": ' + "[" * 5000 + "]" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "deep.json" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_resolved_config_bytes_for_empty_document(self, tmp_path):
@@ -119,6 +137,26 @@ class TestArgHandling:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "--step" in capsys.readouterr().err
+
+    def test_serve_rejects_out_of_range_port(self, tiny_config, capsys):
+        assert main(["serve", "--config", tiny_config,
+                     "--addr", "127.0.0.1:99999"]) == 1
+        assert "99999" in capsys.readouterr().err
+
+    def test_eval_rejects_zero_episodes(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["eval", "--config", tiny_config, "--constant-velocity",
+                     "1.0", "--episodes", "0", "--out", str(out)]) == 1
+        assert "--episodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_rejects_nan_constant_velocity(self, tiny_config, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        assert main(["eval", "--config", tiny_config, "--constant-velocity",
+                     "nan", "--out", str(out)]) == 1
+        assert "--constant-velocity" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -174,13 +212,16 @@ class TestEvalCommand:
         "[]", "3", "null", '{"format_version": 0}',
         '{"format_version": 1, "config": {"bogus": 1}}',
         '{"format_version": 1, "config": [1]}',
+        pytest.param("[" * 5000 + "]" * 5000, id="deep_nesting"),
     ])
     def test_bad_checkpoint_exits_1(self, tiny_config, tmp_path, capsys, text):
         ckpt = tmp_path / "checkpoint.json"
         ckpt.write_text(text)
+        out = tmp_path / "eval"
         assert main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "eval")]) == 1
+                     "--out", str(out)]) == 1
         assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -335,8 +335,7 @@ class TestCheckpoint:
             assert loaded.act(obs) == agent.act(obs)
         assert loaded.episode_count == 42
         assert loaded.noise.variance == agent.noise.variance
-        for a, b in zip(agent.critic_opt.m, loaded.critic_opt.m):
-            assert np.array_equal(a, b)
+        assert np.array_equal(agent.critic_opt.m, loaded.critic_opt.m)
         assert loaded.actor_opt.t == agent.actor_opt.t
 
     def test_resumed_updates_match_uninterrupted(self, tmp_path):
@@ -409,9 +408,9 @@ class TestCheckpoint:
 class TestAdam:
     def test_single_step_matches_hand_computation(self):
         p = np.array([1.0])
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p, lr=0.1)
         g = np.array([0.5])
-        opt.step([g])
+        opt.step(g)
         # bias-corrected first step moves by ~lr against the gradient sign
         m_hat, v_hat = 0.5, 0.25
         expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -100,19 +99,8 @@ class TestRandomTrack:
                                       placement_range=(2.0, 9.0)))
 
     def test_distinct_seeds_give_distinct_tracks(self):
-        profiles = {random_track(s).to_json() for s in range(100)}
+        profiles = {random_track(s).bumps for s in range(100)}
         assert len(profiles) == 100
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        profile = random_track(9)
-        assert TerrainProfile.from_json(profile.to_json()) == profile
-
-    def test_json_schema(self, single_bump):
-        doc = json.loads(single_bump.to_json())
-        assert doc["track_length"] == 10.0
-        assert doc["bumps"] == [{"H": 0.008, "mu": 5.0, "sigma": 0.05}]
 
 
 class TestValidation:
