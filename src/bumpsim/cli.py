@@ -24,10 +24,8 @@ from .harness import (
 from .protocol import serve
 
 
-def _load_resolved(path: str) -> dict:
-    if not os.path.exists(path):
-        raise cfg.ConfigError(f"config file not found: {path}")
-    return cfg.load(path)
+# The paper's sweep has 10 speeds; the whole list is built before the first.
+MAX_SWEEP_SPEEDS = 10_000
 
 
 def _echo_config(resolved: dict, out_dir: str):
@@ -45,7 +43,7 @@ def _env(resolved: dict) -> BumpEnv:
 
 
 def cmd_train(args) -> int:
-    resolved = _load_resolved(args.config)
+    resolved = cfg.load(args.config)
     resolved["train"]["seed"] = args.seed
     if args.episodes is not None:
         resolved["train"]["episodes"] = args.episodes
@@ -64,7 +62,7 @@ def cmd_eval(args) -> int:
         raise ValueError("--constant-velocity must be finite")
     if args.episodes < 1:
         raise ValueError("--episodes must be >= 1")
-    resolved = _load_resolved(args.config)
+    resolved = cfg.load(args.config)
     env = _env(resolved)
     if args.checkpoint is not None:
         policy = DdpgAgent.load(args.checkpoint).act
@@ -81,13 +79,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.step <= 0.0:
-        raise ValueError("--step must be positive")
-    if args.max < args.min:
-        raise ValueError("--max must be >= --min")
-    resolved = _load_resolved(args.config)
-    n = int(round((args.max - args.min) / args.step)) + 1
-    velocities = [args.min + i * args.step for i in range(n)]
+    if not (0.0 < args.min <= args.max < math.inf and 0.0 < args.step < math.inf):
+        raise ValueError("need 0 < --min <= --max and 0 < --step, all finite")
+    intervals = (args.max - args.min) / args.step  # round(intervals) + 1 speeds
+    if intervals >= MAX_SWEEP_SPEEDS - 0.5:  # an overflow to inf, too
+        raise ValueError(f"--min, --max and --step give over {MAX_SWEEP_SPEEDS} speeds")
+    velocities = [args.min + i * args.step for i in range(round(intervals) + 1)]
+    resolved = cfg.load(args.config)
     env = _env(resolved)
     track = env.episode.fixed_track or single_bump_track()
     _echo_config(resolved, args.out)
@@ -100,7 +98,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    resolved = _load_resolved(args.config)
+    resolved = cfg.load(args.config)
     seeds = [int(s) for s in args.seeds.split(",")]
     base = cfg.train_config(resolved, None)
     _echo_config(resolved, args.out)
@@ -109,7 +107,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    resolved = _load_resolved(args.config)
+    resolved = cfg.load(args.config)
     host, _, port = args.addr.partition(":")
     serve(lambda: _env(resolved), host=host or "127.0.0.1",
           port=int(port or 5890))
@@ -164,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
+    try:  # a ConfigError is a ValueError
         return args.func(args)
-    except (cfg.ConfigError, CheckpointError, OSError, ValueError) as e:
+    except (CheckpointError, OSError, ValueError, MemoryError) as e:
         print(f"bumpsim {args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ fields in order; a key's JSON type follows the field's annotation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -40,14 +41,12 @@ def _keys(cls, skip=()) -> dict:
 _SCHEMA = {
     "vehicle": _keys(VehicleParams),
     # The episode's track source lives here: fixed_bumps pins the track and
-    # overrides randomization.
-    "terrain": {**_keys(TrackSpec),
-                "randomize": (EpisodeConfig.randomize_track, bool),
-                "fixed_bumps": (None, _BUMPS)},
+    # overrides the random track; n_bumps 0 gives a flat one.
+    "terrain": {**_keys(TrackSpec), "fixed_bumps": (None, _BUMPS)},
     "camera": _keys(CameraSpec),
     "reward": _keys(RewardSpec),
     "agent": _keys(AgentConfig, skip={"u_max"}),  # from vehicle.u_max
-    "episode": _keys(EpisodeConfig, skip={"fixed_track", "randomize_track"}),
+    "episode": _keys(EpisodeConfig, skip={"fixed_track"}),
     "train": _keys(TrainConfig, skip={"out_dir"}),  # the --out flag
 }
 
@@ -56,18 +55,20 @@ DEFAULTS = {
     for section, keys in _SCHEMA.items()
 }
 
-_TYPE_NAMES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_TYPE_NAMES = {float: "finite number", int: "integer", bool: "boolean", str: "string"}
 
 
 def _is(value, t) -> bool:
-    """A float key takes any JSON number that float() converts, an int key
-    only integers; a boolean is neither."""
+    """A float key takes any JSON number, an int key only integers; a boolean
+    is neither. Python's json also reads NaN, Infinity and integers of any
+    size: a number must have a finite float value."""
     if isinstance(value, bool):
         return t is bool
-    if t is float and isinstance(value, int):
+    if isinstance(value, (int, float)):
         try:
-            float(value)
-        except OverflowError:
+            if not math.isfinite(value):
+                return False
+        except OverflowError:  # an integer beyond the float range
             return False
     return isinstance(value, (int, float) if t is float else t)
 
@@ -79,7 +80,7 @@ def _check(where: str, value, t):
             and all(_is(v, float) for v in b.values())
             for b in value
         )
-        expected = 'null or list of {"H", "mu", "sigma"} number objects'
+        expected = 'null or list of {"H", "mu", "sigma"} objects of finite numbers'
     elif get_origin(t) is tuple:
         elem, *rest = get_args(t)
         ok = isinstance(value, list) and all(_is(v, elem) for v in value)
@@ -166,11 +167,9 @@ def fixed_track(resolved: dict) -> TerrainProfile | None:
 
 
 def episode_config(resolved: dict) -> EpisodeConfig:
-    t = resolved["terrain"]
     return _build(EpisodeConfig, resolved["episode"],
-                  track_spec=_build(TrackSpec, t),
-                  fixed_track=fixed_track(resolved),
-                  randomize_track=t["randomize"])
+                  track_spec=_build(TrackSpec, resolved["terrain"]),
+                  fixed_track=fixed_track(resolved))
 
 
 def agent_config(resolved: dict) -> AgentConfig:

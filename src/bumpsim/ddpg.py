@@ -225,7 +225,7 @@ class ReplayBuffer:
 class OUNoise:
     """Mean-reverting exploration noise with multiplicative variance decay."""
 
-    def __init__(self, variance=0.8, decay=1e-4, floor=0.01, mean_reversion=0.15):
+    def __init__(self, variance, decay, floor, mean_reversion):
         self.variance = variance
         self.decay = decay
         self.floor = floor
@@ -276,10 +276,10 @@ class DdpgAgent:
     def __init__(self, config: AgentConfig = AgentConfig(), seed=0):
         self.config = config
         ss = np.random.SeedSequence(seed)
-        init_ss, self._sample_ss, self._noise_ss = ss.spawn(3)
+        init_ss, sample_ss, noise_ss = ss.spawn(3)
         init_rng = np.random.default_rng(init_ss)
-        self.sample_rng = np.random.default_rng(self._sample_ss)
-        self.noise_rng = np.random.default_rng(self._noise_ss)
+        self.sample_rng = np.random.default_rng(sample_ss)
+        self.noise_rng = np.random.default_rng(noise_ss)
         h = config.hidden_sizes
         self.actor = Mlp((3, *h, 1), rng=init_rng)
         self.critic = Mlp((4, *h, 1), rng=init_rng)

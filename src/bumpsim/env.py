@@ -90,8 +90,7 @@ class EpisodeConfig:
     dt: float = 1.0 / 120.0
     max_steps: int = 3600
     track_spec: TrackSpec = field(default_factory=TrackSpec)
-    fixed_track: TerrainProfile | None = None  # overrides randomization
-    randomize_track: bool = True
+    fixed_track: TerrainProfile | None = None  # overrides track_spec
     initial_x_dot: float = 0.0
 
     def __post_init__(self):
@@ -117,17 +116,10 @@ class BumpEnv:
         self._terrain: TerrainProfile = FLAT
         self._steps = 0
         self._t = 0.0
-        self._done = False
 
     @property
     def terrain(self) -> TerrainProfile:
         return self._terrain
-
-    @property
-    def state(self) -> VehicleState:
-        if self._state is None:
-            raise EnvNotReset("environment has no state before reset()")
-        return self._state
 
     def reset(self, seed=None) -> Observation:
         """Start a new episode; a seed makes the randomized track deterministic."""
@@ -135,16 +127,11 @@ class BumpEnv:
             self._rng = np.random.default_rng(seed)
         if self.episode.fixed_track is not None:
             self._terrain = self.episode.fixed_track
-        elif self.episode.randomize_track:
-            self._terrain = random_track(self._rng, self.episode.track_spec)
         else:
-            self._terrain = TerrainProfile(
-                bumps=(), track_length=self.episode.track_spec.track_length
-            )
+            self._terrain = random_track(self._rng, self.episode.track_spec)
         self._state = VehicleState(x_dot=self.episode.initial_x_dot)
         self._steps = 0
         self._t = 0.0
-        self._done = False
         z_ddot = derivatives(self._state, 0.0, self.params, self._terrain)[3]
         return observe(self._state, z_ddot, self._terrain, self.camera, self.params)
 
@@ -165,7 +152,7 @@ class BumpEnv:
         self._t += self.episode.dt
         obs = observe(self._state, z_ddot, self._terrain, self.camera, self.params)
         r = reward(obs, self.reward_spec)
-        self._done = (
+        done = (
             self._state.x >= self._terrain.track_length
             or self._steps >= self.episode.max_steps
         )
@@ -179,4 +166,4 @@ class BumpEnv:
             "z_ddot_model": z_ddot,
             "p": obs.p,
         }
-        return obs, r, self._done, info
+        return obs, r, done, info

@@ -17,7 +17,7 @@ import numpy as np
 from .ddpg import AgentConfig, DdpgAgent
 from .env import BumpEnv, EpisodeConfig, RewardSpec
 from .sensors import CameraSpec
-from .terrain import Bump, TerrainProfile
+from .terrain import DEFAULT_BUMP_HEIGHT, Bump, TerrainProfile
 from .vehicle import GRAVITY_NOMINAL, VehicleParams
 
 EPISODE_CSV_HEADER = [
@@ -43,6 +43,10 @@ class Metrics:
 METRICS_CSV_HEADER = [f.name for f in fields(Metrics)]
 
 
+# train() draws every episode's reset seed up front, one array of this many.
+MAX_EPISODES = 1_000_000
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything needed to reproduce a training run."""
@@ -58,8 +62,12 @@ class TrainConfig:
     checkpoint_interval: int = 100  # episodes between periodic checkpoints
 
     def __post_init__(self):
-        if not (self.episodes > 0):
-            raise ValueError("episodes must be positive")
+        if not (1 <= self.episodes <= MAX_EPISODES):
+            raise ValueError(
+                f"train.episodes must lie in [1, {MAX_EPISODES}], got {self.episodes}")
+        if not (self.checkpoint_interval >= 1):
+            raise ValueError("train.checkpoint_interval must be >= 1, got "
+                             f"{self.checkpoint_interval}")
         # train() starts updating after warmup_steps + 1 stored transitions.
         if self.agent.warmup_steps + 1 < self.agent.batch_size:
             raise ValueError(
@@ -234,11 +242,10 @@ def count_acceleration_events(acc_meas, threshold: float) -> int:
     return int(np.sum(above[1:] & ~above[:-1]) + (1 if above.size and above[0] else 0))
 
 
-def single_bump_track(center: float = 5.0, sigma: float = 0.05,
-                      height: float = 0.008, track_length: float = 10.0) -> TerrainProfile:
+def single_bump_track() -> TerrainProfile:
     return TerrainProfile(
-        bumps=(Bump(height=height, center=center, spread=sigma),),
-        track_length=track_length,
+        bumps=(Bump(height=DEFAULT_BUMP_HEIGHT, center=5.0, spread=0.05),),
+        track_length=10.0,
     )
 
 
@@ -276,7 +283,6 @@ COMPARISON_CSV_HEADER = ["variant", "seed", *METRICS_CSV_HEADER]
 
 def compare_rewards(base: TrainConfig, seeds,
                     holdout_track: TerrainProfile | None = None,
-                    eval_episodes: int = 1,
                     out_dir: str | None = None):
     """Train each reward variant per seed with identical budgets and env seeds.
 
@@ -302,10 +308,10 @@ def compare_rewards(base: TrainConfig, seeds,
             seed_audit[(variant, seed)] = result.episode_seeds
             eval_env = BumpEnv(
                 params=cfg.params, camera=cfg.camera,
-                reward_spec=replace(cfg.reward_spec, variant=variant),
+                reward_spec=cfg.reward_spec,
                 episode=replace(cfg.episode, fixed_track=holdout_track),
             )
-            m, _ = evaluate(result.agent.act, eval_env, episodes=eval_episodes)
+            m, _ = evaluate(result.agent.act, eval_env)
             rows.append((variant, seed, m))
     for seed in seeds:
         audits = {v: seed_audit[(v, seed)] for v in REWARD_VARIANTS}

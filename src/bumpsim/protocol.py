@@ -183,7 +183,7 @@ class EnvServer:
             }, False
         if kind == "reset":
             seed = msg.get("seed")
-            if seed is not None and not isinstance(seed, int):
+            if seed is not None and type(seed) is not int:  # nor a bool
                 return _error("BAD_REQUEST", "seed must be an integer"), False
             try:
                 obs = env.reset(seed=seed)
@@ -282,7 +282,7 @@ class RemoteEnv:
         self.close()
 
 
-def serve(env_factory, host: str = "127.0.0.1", port: int = 5890):
+def serve(env_factory, host: str, port: int):
     """Blocking entry point: bind and serve until interrupted."""
     server = EnvServer(env_factory, host=host, port=port)
     try:

@@ -1,12 +1,13 @@
 """Command-line interface tests, driven through main() in-process."""
 
 import json
+import math
 import socket
 import threading
 
 import pytest
 
-from bumpsim.cli import main
+from bumpsim.cli import MAX_SWEEP_SPEEDS, main
 from bumpsim.config import DEFAULTS
 from bumpsim.protocol import PROTOCOL_VERSION
 
@@ -74,6 +75,20 @@ class TestArgHandling:
         ({"terrain": {"sigma_range": [0.03, 10**400]}}, "terrain.sigma_range"),
         ({"terrain": {"fixed_bumps": [{"H": 0.01, "mu": 5.0,
                                        "sigma": 10**400}]}}, "terrain.fixed_bumps"),
+        # An integer key takes only integers with a float value, too.
+        ({"terrain": {"n_bumps": 10**400}}, "terrain.n_bumps"),
+        # Used to train a whole episode, then divide by zero.
+        ({"train": {"checkpoint_interval": 0}}, "train.checkpoint_interval"),
+        # Used to ask numpy for one reset seed per episode, up front.
+        ({"train": {"episodes": 10**15}}, "train.episodes"),
+        ({"train": {"episodes": 10**400}}, "train.episodes"),
+        # Python's json reads NaN and Infinity; a float key takes neither.
+        ({"agent": {"noise_variance": math.nan}}, "agent.noise_variance"),
+        ({"reward": {"x_dot_d": math.nan}, "train": {"episodes": 1},
+          "episode": {"max_steps": 10}}, "reward.x_dot_d"),
+        ({"terrain": {"sigma_range": [0.03, math.inf]}}, "terrain.sigma_range"),
+        ({"terrain": {"fixed_bumps": [{"H": -math.inf, "mu": 5.0,
+                                       "sigma": 0.05}]}}, "terrain.fixed_bumps"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):
@@ -84,6 +99,20 @@ class TestArgHandling:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        # Each asks numpy for more than the address space: nothing is
+        # allocated, and numpy raises a MemoryError at once.
+        {"agent": {"buffer_capacity": 10**15}},
+        {"agent": {"hidden_sizes": [10**15]}},
+    ])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, doc):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bumpsim train: ") and err.count("\n") == 1
 
     def test_deeply_nested_config_exits_1_before_any_output(self, tmp_path,
                                                              capsys):
@@ -110,7 +139,7 @@ class TestArgHandling:
             "terrain": {
                 "track_length": 10.0, "n_bumps": 3, "sigma_range": [0.03, 0.08],
                 "min_spacing": 1.0, "placement_range": [2.0, 9.0],
-                "bump_height": 0.008, "randomize": True, "fixed_bumps": None,
+                "bump_height": 0.008, "fixed_bumps": None,
             },
             "camera": {"lookahead_max": 2.0, "lookahead_min": 0.2, "gain": 0.3},
             "reward": {
@@ -137,6 +166,29 @@ class TestArgHandling:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "--step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--max", "inf"], "--max"),
+        (["--min", "nan"], "--min"),
+        (["--min", "0"], "--min"),
+        (["--min", "-1"], "--min"),
+        # One speed over the cap; the cap is checked before the list is built.
+        (["--min", "1", "--max", str(MAX_SWEEP_SPEEDS + 1), "--step", "1"],
+         "--step"),
+        (["--min", "1e-300", "--max", "1e300", "--step", "1e-300"], "--step"),
+    ])
+    def test_sweep_rejects_bad_flags_before_any_output(self, tmp_path, capsys,
+                                                       flags, named):
+        # Each run over a 1 mm flat track would end after one step.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(
+            {"terrain": {"track_length": 0.001, "fixed_bumps": []}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), *flags,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bumpsim sweep: ") and named in err
+        assert not out.exists()
 
     def test_serve_rejects_out_of_range_port(self, tiny_config, capsys):
         assert main(["serve", "--config", tiny_config,

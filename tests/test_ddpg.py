@@ -224,7 +224,7 @@ class TestReplayBuffer:
 
 class TestNoise:
     def test_variance_decay_closed_form(self):
-        noise = OUNoise(variance=0.8, decay=1e-4, floor=0.01)
+        noise = OUNoise(variance=0.8, decay=1e-4, floor=0.01, mean_reversion=0.15)
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             noise.sample(rng)
@@ -232,7 +232,7 @@ class TestNoise:
         assert noise.variance == pytest.approx(0.8 * math.exp(-1), rel=1e-3)
 
     def test_variance_floor_holds(self):
-        noise = OUNoise(variance=0.02, decay=0.5, floor=0.01)
+        noise = OUNoise(variance=0.02, decay=0.5, floor=0.01, mean_reversion=0.15)
         rng = np.random.default_rng(0)
         history = []
         for _ in range(50):

@@ -84,7 +84,7 @@ class TestReset:
         assert env1.terrain == env2.terrain
 
     def test_flat_config_first_observation(self):
-        env = BumpEnv(episode=EpisodeConfig(randomize_track=False,
+        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
                                             initial_x_dot=0.5))
         assert env.reset(seed=0) == Observation(x_dot=0.5, z_ddot_meas=9.8, p=0.0)
 
@@ -112,7 +112,7 @@ class TestStep:
             env.step(float("nan"))
 
     def test_action_clamped_to_velocity_bounds(self):
-        env = BumpEnv(episode=EpisodeConfig(randomize_track=False))
+        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0)))
         env.reset(seed=0)
         _, _, _, info = env.step(99.0)
         assert info["u_x"] == env.params.u_max
@@ -120,7 +120,7 @@ class TestStep:
         assert info["u_x"] == 0.0
 
     def test_flat_rollout_at_desired_velocity_has_zero_reward(self):
-        env = BumpEnv(episode=EpisodeConfig(randomize_track=False,
+        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
                                             initial_x_dot=1.0,
                                             max_steps=100_000))
         env.reset(seed=0)
@@ -134,7 +134,8 @@ class TestStep:
         assert abs(steps - 1200) <= 1
 
     def test_zero_command_from_rest_times_out(self):
-        env = BumpEnv(episode=EpisodeConfig(randomize_track=False, max_steps=50))
+        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
+                                            max_steps=50))
         env.reset(seed=0)
         done = False
         steps = 0
@@ -177,7 +178,7 @@ class TestStep:
         assert run() == run()
 
     def test_done_when_track_end_reached(self):
-        env = BumpEnv(episode=EpisodeConfig(randomize_track=False,
+        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
                                             initial_x_dot=2.0,
                                             max_steps=100_000))
         env.reset(seed=0)

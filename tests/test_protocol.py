@@ -195,6 +195,17 @@ class TestErrors:
             assert resp["code"] in ("BAD_REQUEST", "NOT_RESET")
         sock.close()
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_boolean_reset_seed_rejected(self, server, seed):
+        # A JSON boolean is a Python int; true used to be served as seed 1.
+        sock, reader = raw_session(server.address)
+        resp = send_line(sock, reader, json.dumps({"type": "reset", "seed": seed}))
+        assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        resp = send_line(sock, reader, json.dumps({"type": "reset", "seed": 1}))
+        assert resp["type"] == "state"
+        reader.close()
+        sock.close()
+
     def test_env_error_on_reset_keeps_session_alive(self, server):
         # An invalid seed used to raise inside the session handler and kill
         # the server thread.
