@@ -6,7 +6,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 from . import config as cfg
 from .ddpg import CheckpointError, DdpgAgent
@@ -16,12 +16,12 @@ from .harness import (
     compare_rewards,
     constant_policy,
     evaluate,
-    single_bump_track,
     sweep_velocities,
     train,
     write_csv,
 )
 from .protocol import serve
+from .vehicle import DynamicsError
 
 
 # The paper's sweep has 10 speeds; the whole list is built before the first.
@@ -44,7 +44,8 @@ def _env(resolved: dict) -> BumpEnv:
 
 def cmd_train(args) -> int:
     resolved = cfg.load(args.config)
-    resolved["train"]["seed"] = args.seed
+    if args.seed is not None:
+        resolved["train"]["seed"] = args.seed
     if args.episodes is not None:
         resolved["train"]["episodes"] = args.episodes
     config = cfg.train_config(resolved, args.out)
@@ -86,12 +87,13 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--min, --max and --step give over {MAX_SWEEP_SPEEDS} speeds")
     velocities = [args.min + i * args.step for i in range(round(intervals) + 1)]
     resolved = cfg.load(args.config)
-    env = _env(resolved)
-    track = env.episode.fixed_track or single_bump_track()
+    params, camera = cfg.vehicle_params(resolved), cfg.camera_spec(resolved)
+    reward_spec = cfg.reward_spec(resolved)
+    track = cfg.episode_config(resolved).fixed_track  # no env: it draws no track
     _echo_config(resolved, args.out)
     sweep_velocities(
-        velocities, params=env.params, camera=env.camera,
-        reward_spec=env.reward_spec, track=track,
+        velocities, params=params, camera=camera,
+        reward_spec=reward_spec, track=track,
         out_path=os.path.join(args.out, "sweep.csv"),
     )
     return 0
@@ -101,6 +103,8 @@ def cmd_compare(args) -> int:
     resolved = cfg.load(args.config)
     seeds = [int(s) for s in args.seeds.split(",")]
     base = cfg.train_config(resolved, None)
+    for seed in seeds:  # TrainConfig checks each seed before --out exists
+        replace(base, seed=seed)
     _echo_config(resolved, args.out)
     compare_rewards(base, seeds, out_dir=args.out)
     return 0
@@ -124,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a velocity policy")
     p.add_argument("--config", required=True, help="JSON config path")
-    p.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override config run seed")
     p.add_argument("--episodes", type=int, default=None,
                    help="override config episode count")
     p.add_argument("--out", required=True, help="output directory")
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # a ConfigError is a ValueError
         return args.func(args)
-    except (CheckpointError, OSError, ValueError, MemoryError) as e:
+    except (CheckpointError, DynamicsError, OSError, ValueError, MemoryError) as e:
         print(f"bumpsim {args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -134,29 +134,22 @@ class Mlp:
         return h, acts
 
     def backward(self, acts, grad_out: np.ndarray, param_grads=True):
-        """Reverse-mode gradients of sum(grad_out * output) w.r.t. parameters.
-
-        Returns (grads_w, grads_b, grad_input), each matching the forward
-        batch. grad_out has the output's shape. With param_grads=False only
-        grad_input is computed and grads_w, grads_b hold None.
+        """Reverse-mode gradients of sum(grad_out * output); grad_out has the
+        output's shape. Returns (grad, grad_input): grad is laid out like flat,
+        or None with param_grads=False, and grad_input matches the forward batch.
         """
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        n = len(self.weights)
+        grad = np.empty_like(self.flat) if param_grads else None
+        views = self.split(grad) if param_grads else None  # weights, biases
         g = grad_out
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
-            if i != last:
+        for i in range(n - 1, -1, -1):
+            if i != n - 1:
                 g = g * (1.0 - acts[i + 1] ** 2)  # tanh'
             if param_grads:
-                grads_w[i] = acts[i].T @ g
-                grads_b[i] = g.sum(axis=0)
+                np.matmul(acts[i].T, g, out=views[i])
+                g.sum(axis=0, out=views[n + i])
             g = g @ self.weights[i].T
-        return grads_w, grads_b, g
-
-
-def _concat(grads) -> np.ndarray:
-    """Gradients in parameters() order as one vector laid out like Mlp.flat."""
-    return np.concatenate([g.ravel() for g in grads])
+        return grad, g
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -347,8 +340,7 @@ class DdpgAgent:
         td = q[:, 0] - y
         critic_loss = float(np.mean(td * td))
         grad_q = (2.0 / n) * td[:, None]
-        gw, gb, _ = self.critic.backward(cache, grad_q)
-        self.critic_opt.step(_concat(gw + gb))
+        self.critic_opt.step(self.critic.backward(cache, grad_q)[0])
 
         # Actor: ascend mean Q(s, mu(s)) by chaining critic input gradients
         # through the tanh squash into the actor.
@@ -357,12 +349,11 @@ class DdpgAgent:
         q_pi, ccache = self.critic.forward_cached(np.hstack([obs, a]))
         actor_objective = float(np.mean(q_pi))
         grad_q = np.full((n, 1), 1.0 / n)
-        _, _, grad_in = self.critic.backward(ccache, grad_q, param_grads=False)
+        _, grad_in = self.critic.backward(ccache, grad_q, param_grads=False)
         grad_a = grad_in[:, 3:]  # d mean Q / d action column
         grad_y = grad_a * 0.5 * (1.0 - np.tanh(ay) ** 2)
-        gw, gb, _ = self.actor.backward(acache, grad_y)
         # Negate: the optimizer minimizes, the actor maximizes Q.
-        self.actor_opt.step(-_concat(gw + gb))
+        self.actor_opt.step(-self.actor.backward(acache, grad_y)[0])
 
         return {"critic_loss": critic_loss, "actor_objective": actor_objective}
 

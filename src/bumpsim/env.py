@@ -110,6 +110,8 @@ class BumpEnv:
         self.params = params
         self.camera = camera
         self.reward_spec = reward_spec
+        if episode.fixed_track is None:  # each reset draws a track
+            episode.track_spec.check_drawable()
         self.episode = episode
         self._rng = np.random.default_rng()
         self._state: VehicleState | None = None

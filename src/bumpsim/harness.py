@@ -62,12 +62,17 @@ class TrainConfig:
     checkpoint_interval: int = 100  # episodes between periodic checkpoints
 
     def __post_init__(self):
+        if not (self.seed >= 0):
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
         if not (1 <= self.episodes <= MAX_EPISODES):
             raise ValueError(
                 f"train.episodes must lie in [1, {MAX_EPISODES}], got {self.episodes}")
         if not (self.checkpoint_interval >= 1):
             raise ValueError("train.checkpoint_interval must be >= 1, got "
                              f"{self.checkpoint_interval}")
+        # train() builds its env, which checks the draw, after --out exists.
+        if self.episode.fixed_track is None:
+            self.episode.track_spec.check_drawable()
         # train() starts updating after warmup_steps + 1 stored transitions.
         if self.agent.warmup_steps + 1 < self.agent.batch_size:
             raise ValueError(

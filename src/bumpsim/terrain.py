@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_BUMP_HEIGHT = 0.008  # m, max bump height of the scaled-vehicle track
+# The paper's tracks have a few bumps; each reset draws and builds all of them.
+MAX_BUMPS = 10_000
 
 
 class InfeasibleSpec(ValueError):
@@ -162,6 +164,30 @@ class TrackSpec:
                 f"terrain.n_bumps: cannot place {n} bumps with spacing "
                 f"{self.min_spacing} in [{lo}, {hi}]"
             )
+
+    def check_drawable(self):
+        """Raise ValueError unless random_track draws bumps that fit the spec.
+
+        Only a track that is drawn needs these bounds, so a fixed track
+        leaves them unchecked.
+        """
+        n = self.n_bumps
+        if n == 0:  # random_track returns the flat track before it draws
+            return
+        if not (n <= MAX_BUMPS):
+            raise ValueError(f"terrain.n_bumps must be <= {MAX_BUMPS}, got {n}")
+        lo, hi = self.placement_range
+        if not (0.0 <= lo <= hi <= self.track_length):
+            raise ValueError(
+                f"terrain.placement_range must satisfy 0 <= lo <= hi <= "
+                f"terrain.track_length ({self.track_length}), got [{lo}, {hi}]")
+        if not (self.min_spacing >= 0.0):
+            raise ValueError(
+                f"terrain.min_spacing must be >= 0, got {self.min_spacing}")
+        s_lo, s_hi = self.sigma_range
+        if not (0.0 < s_lo <= s_hi):
+            raise ValueError(
+                f"terrain.sigma_range must satisfy 0 < lo <= hi, got [{s_lo}, {s_hi}]")
 
 
 def random_track(seed, spec: TrackSpec = TrackSpec()) -> TerrainProfile:

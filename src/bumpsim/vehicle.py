@@ -88,6 +88,8 @@ def _accelerations(p: VehicleParams, road2):
 
     def acc(x, x_dot, z, z_dot, theta, theta_dot, u_x):
         if not (-half_pi < theta < half_pi):
+            if not math.isfinite(theta):
+                raise NonFinite(f"non-finite pitch: {theta}")
             raise PitchOutOfRange(f"|theta| must stay below pi/2, got {theta}")
         s = sin(theta)
         c = cos(theta)

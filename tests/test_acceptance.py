@@ -176,22 +176,21 @@ def _fd_check(net: Mlp, x: np.ndarray, rng) -> float:
         return float(np.sum(net.forward(x) * grad_out))
 
     _, cache = net.forward_cached(x)
-    gw, gb, _ = net.backward(cache, grad_out)
+    grad, _ = net.backward(cache, grad_out)
     worst = 0.0
     eps = 1e-6
-    for params, grads in ((net.weights, gw), (net.biases, gb)):
-        for p, g in zip(params, grads):
-            flat, gflat = p.ravel(), g.ravel()
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                hi = loss()
-                flat[i] = keep - eps
-                lo = loss()
-                flat[i] = keep
-                fd = (hi - lo) / (2 * eps)
-                denom = max(abs(fd), abs(gflat[i]), 1e-8)
-                worst = max(worst, abs(fd - gflat[i]) / denom)
+    for p, g in zip(net.parameters(), net.split(grad)):
+        flat, gflat = p.ravel(), g.ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            hi = loss()
+            flat[i] = keep - eps
+            lo = loss()
+            flat[i] = keep
+            fd = (hi - lo) / (2 * eps)
+            denom = max(abs(fd), abs(gflat[i]), 1e-8)
+            worst = max(worst, abs(fd - gflat[i]) / denom)
     return worst
 
 

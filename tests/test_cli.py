@@ -4,12 +4,17 @@ import json
 import math
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from bumpsim.cli import MAX_SWEEP_SPEEDS, main
 from bumpsim.config import DEFAULTS
 from bumpsim.protocol import PROTOCOL_VERSION
+from bumpsim.terrain import MAX_BUMPS
+
+# One episode of ten steps: a run that a bad document does not stop ends fast.
+SHORT = {"train": {"episodes": 1}, "episode": {"max_steps": 10}}
 
 
 @pytest.fixture
@@ -89,6 +94,19 @@ class TestArgHandling:
         ({"terrain": {"sigma_range": [0.03, math.inf]}}, "terrain.sigma_range"),
         ({"terrain": {"fixed_bumps": [{"H": -math.inf, "mu": 5.0,
                                        "sigma": 0.05}]}}, "terrain.fixed_bumps"),
+        # Tracks that used to fail only at a reset, or to run on bumps the
+        # spec does not describe.
+        ({**SHORT, "terrain": {"placement_range": [2.0, 50.0]}},
+         "terrain.placement_range"),
+        ({**SHORT, "terrain": {"placement_range": [-1.0, 9.0]}},
+         "terrain.placement_range"),
+        ({**SHORT, "terrain": {"n_bumps": 5, "min_spacing": -1.0}},
+         "terrain.min_spacing"),
+        ({**SHORT, "terrain": {"n_bumps": MAX_BUMPS + 1, "min_spacing": 0.0}},
+         "terrain.n_bumps"),
+        ({**SHORT, "terrain": {"sigma_range": [0.08, 0.03]}}, "terrain.sigma_range"),
+        ({**SHORT, "terrain": {"sigma_range": [-0.08, -0.03]}}, "terrain.sigma_range"),
+        ({**SHORT, "train": {"episodes": 1, "seed": -1}}, "train.seed"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):
@@ -210,6 +228,59 @@ class TestArgHandling:
         assert "--constant-velocity" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("terrain", [
+        {"track_length": 5.0,
+         "fixed_bumps": [{"H": 0.01, "mu": 2.5, "sigma": 0.05}]},
+        {"track_length": 1.5, "sigma_range": [0.08, 0.03], "min_spacing": -1.0,
+         "fixed_bumps": [{"H": 0.01, "mu": 0.75, "sigma": 0.05}]},
+        {"track_length": 1.5, "n_bumps": 0},
+    ])
+    def test_tracks_drawing_no_bumps_skip_the_draw_bounds(self, tmp_path,
+                                                          terrain):
+        # The default placement range [2, 9] ends past each track, but a
+        # fixed or flat track never draws from it.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"terrain": terrain,
+                                    "episode": {"max_steps": 50}}))
+        out = tmp_path / "out"
+        assert main(["eval", "--config", str(path), "--constant-velocity",
+                     "1", "--out", str(out)]) == 0
+        assert (out / "eval_metrics.csv").exists()
+
+    def test_sweep_skips_the_draw_bounds(self, tmp_path):
+        # The sweep runs on its own single-bump track and draws none.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"terrain": {"track_length": 5.0}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--min", "1", "--max", "1",
+                     "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_dynamics_error_exits_1_in_one_line(self, tmp_path, capsys):
+        # Stiff springs over a tall, narrow bump tip the chassis over.
+        path = tmp_path / "tip.json"
+        path.write_text(json.dumps({
+            "terrain": {"bump_height": 1000.0, "sigma_range": [0.03, 0.031]},
+            "vehicle": {"k1": 1e6, "k2": 1e6}}))
+        assert main(["eval", "--config", str(path), "--constant-velocity", "2",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bumpsim eval: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["compare", "--seeds=-1"],
+        ["compare", "--seeds", "0,-1"],
+    ])
+    def test_negative_seed_exits_1_before_any_output(self, tiny_config, tmp_path,
+                                                     capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--config", tiny_config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bumpsim {argv[0]}: ") and err.count("\n") == 1
+        assert "seed" in err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_creates_checkpoint_metrics_and_echo(self, tiny_config, tmp_path):
@@ -232,6 +303,24 @@ class TestTrainCommand:
         assert echoed["train"]["seed"] == 5
         lines = (out / "train_metrics.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
+
+    def test_config_seed_applies_without_the_flag(self, tiny_config, tmp_path):
+        doc = json.loads(Path(tiny_config).read_text())
+        doc["train"]["seed"] = 5
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps(doc))
+        runs = {}
+        for name, argv in (("config", ["--config", str(seeded)]),
+                           ("flag", ["--config", tiny_config, "--seed", "5"]),
+                           ("zero", ["--config", tiny_config])):
+            out = tmp_path / name
+            assert main(["train", *argv, "--out", str(out)]) == 0
+            echoed = json.loads((out / "resolved_config.json").read_text())
+            runs[name] = (echoed["train"]["seed"],
+                          (out / "train_metrics.csv").read_bytes())
+        assert runs["config"] == runs["flag"]
+        assert runs["config"][0] == 5 and runs["zero"][0] == 0
+        assert runs["config"][1] != runs["zero"][1]
 
     def test_repeated_runs_byte_identical(self, tiny_config, tmp_path):
         outs = []

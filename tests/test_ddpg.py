@@ -81,15 +81,15 @@ class TestBackprop:
         x = rng.standard_normal((4, sizes[0]))
         gout = rng.standard_normal((4, sizes[-1]))
         _, acts = net.forward_cached(x)
-        gw, gb, _ = net.backward(acts, gout)
-        assert_grads_close(gw + gb, finite_difference_grads(net, x, gout))
+        grad, _ = net.backward(acts, gout)
+        assert_grads_close(net.split(grad), finite_difference_grads(net, x, gout))
 
     def test_zero_output_grad_gives_zero_param_grads(self):
         rng = np.random.default_rng(9)
         net = Mlp((3, 6, 1), rng=rng)
         _, acts = net.forward_cached(rng.standard_normal((4, 3)))
-        gw, gb, _ = net.backward(acts, np.zeros((4, 1)))
-        for g in gw + gb:
+        grad, _ = net.backward(acts, np.zeros((4, 1)))
+        for g in net.split(grad):
             assert np.all(g == 0.0)
 
     def test_single_linear_layer_analytic(self):
@@ -98,10 +98,21 @@ class TestBackprop:
         x = np.array([[2.0]])
         gout = np.array([[3.0]])
         _, acts = net.forward_cached(x)
-        gw, gb, gin = net.backward(acts, gout)
-        assert gw[0][0, 0] == 6.0  # input * output_grad
-        assert gb[0][0] == 3.0
+        grad, gin = net.backward(acts, gout)
+        gw, gb = net.split(grad)
+        assert gw[0, 0] == 6.0  # input * output_grad
+        assert gb[0] == 3.0
         assert gin[0, 0] == pytest.approx(0.7 * 3.0)
+
+    def test_input_gradient_alone_has_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        net = Mlp((4, 8, 8, 1), rng=rng)
+        _, acts = net.forward_cached(rng.standard_normal((5, 4)))
+        gout = rng.standard_normal((5, 1))
+        grad, gin = net.backward(acts, gout)
+        none, gin_only = net.backward(acts, gout, param_grads=False)
+        assert grad.shape == net.flat.shape and none is None
+        assert gin_only.tobytes() == gin.tobytes()
 
 
 class TestActorCritic:
@@ -144,7 +155,8 @@ class TestActorCritic:
 
         ay, acache = agent.actor.forward_cached(obs)
         gy = (0.5 * agent.config.u_max * (1 - np.tanh(ay) ** 2)) / obs.shape[0]
-        gw, gb, _ = agent.actor.backward(acache, gy)
+        grad, _ = agent.actor.backward(acache, gy)
+        gw = agent.actor.split(grad)
         w = agent.actor.weights[0]
         orig = w[0, 0]
         w[0, 0] = orig + h

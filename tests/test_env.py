@@ -196,3 +196,10 @@ class TestEpisodeConfigValidation:
     def test_rejects_nonpositive_max_steps(self):
         with pytest.raises(ValueError):
             EpisodeConfig(max_steps=0)
+
+    def test_random_track_bounds_only_without_a_fixed_track(self):
+        short = TrackSpec(track_length=1.5)  # default placement ends at 9 m
+        with pytest.raises(ValueError, match="terrain.placement_range"):
+            BumpEnv(episode=EpisodeConfig(track_spec=short))
+        BumpEnv(episode=EpisodeConfig(track_spec=short,
+                                      fixed_track=single_bump_track()))

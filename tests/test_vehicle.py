@@ -64,6 +64,11 @@ class TestDerivatives:
         with pytest.raises(PitchOutOfRange):
             derivatives(VehicleState(theta=math.pi / 2), 0.0, params, FLAT)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pitch_is_non_finite(self, params, theta):
+        with pytest.raises(NonFinite):
+            derivatives(VehicleState(theta=theta), 0.0, params, FLAT)
+
     def test_symmetry_pure_heave_any_terrain_offset(self, params):
         # Symmetric car, both wheels on the same road height: no pitch torque
         # for heave-only states.
@@ -180,7 +185,7 @@ def ref_slope(terrain, x):
 
 def ref_derivatives(x, x_dot, z, z_dot, theta, theta_dot, u_x, p, terrain):
     if not (-math.pi / 2 < theta < math.pi / 2):
-        raise PitchOutOfRange(theta)
+        raise (PitchOutOfRange if math.isfinite(theta) else NonFinite)(theta)
     s = math.sin(theta)
     c = math.cos(theta)
     x1 = x + p.L1 * c
