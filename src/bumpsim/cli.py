@@ -89,7 +89,7 @@ def cmd_sweep(args) -> int:
     resolved = cfg.load(args.config)
     params, camera = cfg.vehicle_params(resolved), cfg.camera_spec(resolved)
     reward_spec = cfg.reward_spec(resolved)
-    track = cfg.episode_config(resolved).fixed_track  # no env: it draws no track
+    track = cfg.fixed_track(resolved)
     _echo_config(resolved, args.out)
     sweep_velocities(
         velocities, params=params, camera=camera,

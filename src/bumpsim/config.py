@@ -40,13 +40,13 @@ def _keys(cls, skip=()) -> dict:
 
 _SCHEMA = {
     "vehicle": _keys(VehicleParams),
-    # The episode's track source lives here: fixed_bumps pins the track and
-    # overrides the random track; n_bumps 0 gives a flat one.
+    # The episode's track source lives here: fixed_bumps pins the track, or
+    # else each reset draws one from the other keys (n_bumps 0: a flat one).
     "terrain": {**_keys(TrackSpec), "fixed_bumps": (None, _BUMPS)},
     "camera": _keys(CameraSpec),
     "reward": _keys(RewardSpec),
     "agent": _keys(AgentConfig, skip={"u_max"}),  # from vehicle.u_max
-    "episode": _keys(EpisodeConfig, skip={"fixed_track"}),
+    "episode": _keys(EpisodeConfig, skip={"track"}),  # from terrain
     "train": _keys(TrainConfig, skip={"out_dir"}),  # the --out flag
 }
 
@@ -167,9 +167,10 @@ def fixed_track(resolved: dict) -> TerrainProfile | None:
 
 
 def episode_config(resolved: dict) -> EpisodeConfig:
-    return _build(EpisodeConfig, resolved["episode"],
-                  track_spec=_build(TrackSpec, resolved["terrain"]),
-                  fixed_track=fixed_track(resolved))
+    track = fixed_track(resolved)
+    if track is None:
+        track = _build(TrackSpec, resolved["terrain"])
+    return _build(EpisodeConfig, resolved["episode"], track=track)
 
 
 def agent_config(resolved: dict) -> AgentConfig:

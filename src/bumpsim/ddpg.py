@@ -74,6 +74,17 @@ class AgentConfig:
                 f"agent.hidden_sizes: every layer width must be >= 1, got "
                 f"{list(self.hidden_sizes)}"
             )
+        # normalize_obs divides by u_max; a config takes it from vehicle.u_max.
+        if not (0.0 < self.u_max < math.inf):
+            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
+        # OUNoise.sample takes the square root of the variance.
+        for key in ("noise_variance", "noise_floor"):
+            value = getattr(self, key)
+            if not (value >= 0.0):
+                raise ValueError(f"agent.{key} must be >= 0, got {value}")
+        if not (0.0 <= self.noise_decay <= 1.0):
+            raise ValueError(
+                f"agent.noise_decay must lie in [0, 1], got {self.noise_decay}")
 
 
 class Mlp:
@@ -86,8 +97,7 @@ class Mlp:
         # (the parameters() order), so Adam and the soft update run a few
         # ufuncs per net rather than a few per array.
         self.flat = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in layers))
-        views = self.split(self.flat)
-        self.weights, self.biases = views[:len(layers)], views[len(layers):]
+        self._bind()
         if rng is not None:
             for i, (n_in, n_out) in enumerate(layers):
                 if i == len(layers) - 1:
@@ -96,6 +106,20 @@ class Mlp:
                     bound = 1.0 / math.sqrt(n_in)
                 self.weights[i][...] = rng.uniform(-bound, bound, size=(n_in, n_out))
                 self.biases[i][...] = rng.uniform(-bound, bound, size=n_out)
+
+    def _bind(self):
+        """Point weights and biases at their views of flat."""
+        views = self.split(self.flat)
+        n = len(self.sizes) - 1
+        self.weights, self.biases = views[:n], views[n:]
+
+    # A pickle holds flat alone: views pickle as copies of their own.
+    def __getstate__(self):
+        return {"sizes": self.sizes, "flat": self.flat}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     def parameters(self):
         return self.weights + self.biases
@@ -423,19 +447,37 @@ class DdpgAgent:
             )
 
         def fill(views, arrays):
-            arrays = [np.array(a, dtype=float) for a in arrays]
+            arrays = [np.array(a) for a in arrays]
             if [a.shape for a in arrays] != [v.shape for v in views]:
                 raise ValueError("array shapes do not match the network sizes")
             for view, a in zip(views, arrays):
+                # Numbers only: numpy would also read "1.5", True or null.
+                if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+                    raise ValueError("arrays must hold finite numbers")
                 view[...] = a
 
+        def count(x):
+            if not (type(x) is int and x >= 0):
+                raise ValueError(f"expected an integer >= 0, got {x!r}")
+            return x
+
+        def number(x):
+            if not (type(x) in (int, float) and math.isfinite(x)):
+                raise ValueError(f"expected a finite number, got {x!r}")
+            return float(x)
+
         def load_net(m: Mlp, d):
+            sizes = d["sizes"]
+            if type(sizes) is not list or [count(s) for s in sizes] != list(m.sizes):
+                raise ValueError(f"sizes {sizes!r} != configured {list(m.sizes)}")
             fill(m.parameters(), d["weights"] + d["biases"])
 
         def load_opt(o: Adam, m: Mlp, d):
-            o.t = d["t"]
+            o.t = count(d["t"])
             fill(m.split(o.m), d["m"])
             fill(m.split(o.v), d["v"])
+            if (o.v < 0.0).any():  # a mean of squared gradients
+                raise ValueError("Adam second moments must be >= 0")
 
         try:
             cfg_doc = dict(doc["config"])
@@ -447,9 +489,13 @@ class DdpgAgent:
             load_net(agent.target_critic, doc["target_critic"])
             load_opt(agent.actor_opt, agent.actor, doc["actor_opt"])
             load_opt(agent.critic_opt, agent.critic, doc["critic_opt"])
-            agent.noise.variance = doc["noise"]["variance"]
-            agent.noise.value = doc["noise"]["value"]
-            agent.episode_count = doc["episode_count"]
-        except (KeyError, TypeError, ValueError) as e:
+            agent.noise.variance = number(doc["noise"]["variance"])
+            agent.noise.value = number(doc["noise"]["value"])
+            if agent.noise.variance < 0.0:
+                raise ValueError(f"noise variance {agent.noise.variance} < 0")
+            agent.episode_count = count(doc["episode_count"])
+        # OverflowError: an integer beyond the float range, or an infinite
+        # buffer_capacity.
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
         return agent

@@ -89,8 +89,8 @@ class EpisodeConfig:
 
     dt: float = 1.0 / 120.0
     max_steps: int = 3600
-    track_spec: TrackSpec = field(default_factory=TrackSpec)
-    fixed_track: TerrainProfile | None = None  # overrides track_spec
+    # A fixed TerrainProfile, or a TrackSpec that each reset draws from.
+    track: TrackSpec | TerrainProfile = field(default_factory=TrackSpec)
     initial_x_dot: float = 0.0
 
     def __post_init__(self):
@@ -110,8 +110,6 @@ class BumpEnv:
         self.params = params
         self.camera = camera
         self.reward_spec = reward_spec
-        if episode.fixed_track is None:  # each reset draws a track
-            episode.track_spec.check_drawable()
         self.episode = episode
         self._rng = np.random.default_rng()
         self._state: VehicleState | None = None
@@ -127,10 +125,9 @@ class BumpEnv:
         """Start a new episode; a seed makes the randomized track deterministic."""
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        if self.episode.fixed_track is not None:
-            self._terrain = self.episode.fixed_track
-        else:
-            self._terrain = random_track(self._rng, self.episode.track_spec)
+        track = self.episode.track
+        self._terrain = (track if isinstance(track, TerrainProfile)
+                         else random_track(self._rng, track))
         self._state = VehicleState(x_dot=self.episode.initial_x_dot)
         self._steps = 0
         self._t = 0.0

@@ -70,9 +70,6 @@ class TrainConfig:
         if not (self.checkpoint_interval >= 1):
             raise ValueError("train.checkpoint_interval must be >= 1, got "
                              f"{self.checkpoint_interval}")
-        # train() builds its env, which checks the draw, after --out exists.
-        if self.episode.fixed_track is None:
-            self.episode.track_spec.check_drawable()
         # train() starts updating after warmup_steps + 1 stored transitions.
         if self.agent.warmup_steps + 1 < self.agent.batch_size:
             raise ValueError(
@@ -272,7 +269,7 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
     for v in sorted(velocities):
         env = BumpEnv(
             params=params, camera=camera, reward_spec=reward_spec,
-            episode=EpisodeConfig(fixed_track=track, max_steps=max_steps,
+            episode=EpisodeConfig(track=track, max_steps=max_steps,
                                   initial_x_dot=v),
         )
         m, _ = rollout(env, constant_policy(v), seed=0)
@@ -314,7 +311,7 @@ def compare_rewards(base: TrainConfig, seeds,
             eval_env = BumpEnv(
                 params=cfg.params, camera=cfg.camera,
                 reward_spec=cfg.reward_spec,
-                episode=replace(cfg.episode, fixed_track=holdout_track),
+                episode=replace(cfg.episode, track=holdout_track),
             )
             m, _ = evaluate(result.agent.act, eval_env)
             rows.append((variant, seed, m))

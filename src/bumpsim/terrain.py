@@ -158,25 +158,16 @@ class TrackSpec:
         if not (self.bump_height > 0.0):
             raise ValueError(
                 f"terrain.bump_height must be positive, got {self.bump_height}")
+        if n == 0:  # random_track returns the flat track before it draws
+            return
         lo, hi = self.placement_range
-        if n > 0 and (hi - lo) - (n - 1) * self.min_spacing < 0.0:
+        if (hi - lo) - (n - 1) * self.min_spacing < 0.0:
             raise InfeasibleSpec(
                 f"terrain.n_bumps: cannot place {n} bumps with spacing "
                 f"{self.min_spacing} in [{lo}, {hi}]"
             )
-
-    def check_drawable(self):
-        """Raise ValueError unless random_track draws bumps that fit the spec.
-
-        Only a track that is drawn needs these bounds, so a fixed track
-        leaves them unchecked.
-        """
-        n = self.n_bumps
-        if n == 0:  # random_track returns the flat track before it draws
-            return
         if not (n <= MAX_BUMPS):
             raise ValueError(f"terrain.n_bumps must be <= {MAX_BUMPS}, got {n}")
-        lo, hi = self.placement_range
         if not (0.0 <= lo <= hi <= self.track_length):
             raise ValueError(
                 f"terrain.placement_range must satisfy 0 <= lo <= hi <= "

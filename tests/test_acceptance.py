@@ -254,7 +254,7 @@ def test_criterion_06_ddpg_mechanics():
 
 def test_criterion_07_three_bump_baseline_event_count():
     track = random_track(42, TrackSpec())
-    env = BumpEnv(episode=EpisodeConfig(fixed_track=track, max_steps=3600,
+    env = BumpEnv(episode=EpisodeConfig(track=track, max_steps=3600,
                                         initial_x_dot=1.0))
     obs = env.reset(seed=0)
     acc = []
@@ -263,7 +263,7 @@ def test_criterion_07_three_bump_baseline_event_count():
         obs, _, done, _ = env.step(1.0)
         acc.append(obs.z_ddot_meas)
 
-    flat_env = BumpEnv(episode=EpisodeConfig(fixed_track=FLAT, max_steps=1200,
+    flat_env = BumpEnv(episode=EpisodeConfig(track=FLAT, max_steps=1200,
                                              initial_x_dot=1.0))
     fobs = flat_env.reset(seed=0)
     floor = 0.0
@@ -312,7 +312,7 @@ LEARNING_TRACK_SPEC = TrackSpec(
 
 
 def _holdout_env():
-    return BumpEnv(episode=EpisodeConfig(fixed_track=HOLDOUT, max_steps=3600))
+    return BumpEnv(episode=EpisodeConfig(track=HOLDOUT, max_steps=3600))
 
 
 @pytest.mark.slow
@@ -326,7 +326,7 @@ def test_criterion_09_learned_policy_beats_constant_baseline():
         result = train(TrainConfig(
             episodes=100, seed=seed,
             episode=EpisodeConfig(max_steps=2400,
-                                  track_spec=LEARNING_TRACK_SPEC),
+                                  track=LEARNING_TRACK_SPEC),
             agent=AgentConfig(reward_scale=0.002),
         ))
         m, _ = rollout(_holdout_env(), result.agent.act, seed=0)

@@ -1,7 +1,9 @@
 """Command-line interface tests, driven through main() in-process."""
 
+import functools
 import json
 import math
+import operator
 import socket
 import threading
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from bumpsim.cli import MAX_SWEEP_SPEEDS, main
 from bumpsim.config import DEFAULTS
+from bumpsim.ddpg import AgentConfig, DdpgAgent
 from bumpsim.protocol import PROTOCOL_VERSION
 from bumpsim.terrain import MAX_BUMPS
 
@@ -107,6 +110,13 @@ class TestArgHandling:
         ({**SHORT, "terrain": {"sigma_range": [0.08, 0.03]}}, "terrain.sigma_range"),
         ({**SHORT, "terrain": {"sigma_range": [-0.08, -0.03]}}, "terrain.sigma_range"),
         ({**SHORT, "train": {"episodes": 1, "seed": -1}}, "train.seed"),
+        # A negative variance used to end in "math domain error" and a
+        # negative decay in a NaN action, both after --out existed; a decay
+        # above 1 and a negative floor ran.
+        ({**SHORT, "agent": {"noise_variance": -1.0}}, "agent.noise_variance"),
+        ({**SHORT, "agent": {"noise_decay": -1.0}}, "agent.noise_decay"),
+        ({**SHORT, "agent": {"noise_decay": 1.5}}, "agent.noise_decay"),
+        ({**SHORT, "agent": {"noise_floor": -1.0}}, "agent.noise_floor"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):
@@ -234,6 +244,9 @@ class TestArgHandling:
         {"track_length": 1.5, "sigma_range": [0.08, 0.03], "min_spacing": -1.0,
          "fixed_bumps": [{"H": 0.01, "mu": 0.75, "sigma": 0.05}]},
         {"track_length": 1.5, "n_bumps": 0},
+        # 20 bumps 1 m apart would not fit in [2, 9], but none are drawn.
+        {"track_length": 5.0, "n_bumps": 20,
+         "fixed_bumps": [{"H": 0.01, "mu": 2.5, "sigma": 0.05}]},
     ])
     def test_tracks_drawing_no_bumps_skip_the_draw_bounds(self, tmp_path,
                                                           terrain):
@@ -251,6 +264,17 @@ class TestArgHandling:
         # The sweep runs on its own single-bump track and draws none.
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"terrain": {"track_length": 5.0}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--min", "1", "--max", "1",
+                     "--out", str(out)]) == 0
+        assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+    def test_sweep_ignores_the_draw_and_episode_keys(self, tmp_path):
+        # Neither 20 bumps that would not fit nor an episode section that an
+        # env would reject reaches the sweep, which reads neither.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"terrain": {"track_length": 5.0, "n_bumps": 20},
+                                    "episode": {"max_steps": 0}}))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--min", "1", "--max", "1",
                      "--out", str(out)]) == 0
@@ -354,9 +378,23 @@ class TestEvalCommand:
         '{"format_version": 1, "config": {"bogus": 1}}',
         '{"format_version": 1, "config": [1]}',
         pytest.param("[" * 5000 + "]" * 5000, id="deep_nesting"),
+        # (path, value): one field of a valid checkpoint. Each used to load.
+        pytest.param((("actor", "weights", 0, 0, 0), math.nan), id="nan_weight"),
+        pytest.param((("actor_opt", "t"), "x"), id="string_adam_t"),
+        pytest.param((("noise", "variance"), "v"), id="string_noise_variance"),
+        pytest.param((("actor", "sizes"), [3, 5, 1]), id="wrong_sizes"),
+        pytest.param((("episode_count",), -5), id="negative_episode_count"),
+        # Used to end in a ZeroDivisionError traceback after --out existed.
+        pytest.param((("config", "u_max"), 0.0), id="zero_u_max"),
     ])
     def test_bad_checkpoint_exits_1(self, tiny_config, tmp_path, capsys, text):
         ckpt = tmp_path / "checkpoint.json"
+        if isinstance(text, tuple):
+            (*parents, last), value = text
+            DdpgAgent(AgentConfig(hidden_sizes=(2,))).save(str(ckpt))
+            doc = json.loads(ckpt.read_text())
+            functools.reduce(operator.getitem, parents, doc)[last] = value
+            text = json.dumps(doc)
         ckpt.write_text(text)
         out = tmp_path / "eval"
         assert main(["eval", "--config", tiny_config, "--checkpoint", str(ckpt),

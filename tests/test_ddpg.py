@@ -1,10 +1,15 @@
 import copy
+import functools
 import json
 import math
+import operator
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bumpsim.ddpg import (
     Adam,
@@ -330,6 +335,32 @@ class TestUpdate:
         assert losses[-1] < 0.05
 
 
+def write_checkpoint(path, where=(), value=None):
+    """Save a small valid checkpoint at path, with the field at key path
+    where, if one is given, set to value; returns the document."""
+    DdpgAgent(AgentConfig(hidden_sizes=(2,), batch_size=4, buffer_capacity=8),
+              seed=0).save(str(path))
+    doc = json.loads(Path(path).read_text())
+    if where:
+        *parents, last = where
+        functools.reduce(operator.getitem, parents, doc)[last] = value
+        Path(path).write_text(json.dumps(doc))
+    return doc
+
+
+def key_paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_behavior_and_state(self, tmp_path):
         agent = filled_agent(seed=9)
@@ -416,6 +447,85 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             DdpgAgent.load(path)
 
+    @pytest.mark.parametrize("where, value", [
+        (("actor", "weights", 0, 0, 0), math.nan),
+        (("target_critic", "biases", 0, 0), math.inf),
+        (("actor", "weights", 0, 0, 0), "0.5"),
+        (("critic", "biases", 1, 0), True),
+        (("critic_opt", "m", 0, 0, 0), math.nan),
+        (("actor_opt", "v", 0, 0, 0), -1.0),
+        (("actor_opt", "t"), "x"),
+        (("actor_opt", "t"), -1),
+        (("actor_opt", "t"), True),
+        (("critic_opt", "t"), 1.5),
+        (("noise", "variance"), "v"),
+        (("noise", "variance"), -0.5),
+        (("noise", "value"), math.nan),
+        (("actor", "sizes"), [3, 5, 1]),
+        (("critic", "sizes", 1), 2.0),
+        (("episode_count",), -5),
+        (("episode_count",), True),
+        (("config", "noise_variance"), -1.0),
+        (("config", "buffer_capacity"), math.inf),
+        (("config", "u_max"), "x"),
+    ], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else repr(x))
+    def test_rejects_bad_values(self, tmp_path, where, value):
+        path = tmp_path / "ckpt.json"
+        write_checkpoint(path, where, value)
+        with pytest.raises(CheckpointError):
+            DdpgAgent.load(str(path))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_field_changed_loads_clean_or_raises(self, tmp_path, data):
+        path = tmp_path / "ckpt.json"
+        paths = list(key_paths(write_checkpoint(path)))
+        # Small integers and floats: a layer width or buffer capacity is
+        # allocated before the arrays are compared with it.
+        value = data.draw(st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 1000),
+            st.floats(-1e3, 1e3),
+            st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "x", "1.5",
+                             [], {}, [1.0]]),
+        ))
+        write_checkpoint(path, data.draw(st.sampled_from(paths)), value)
+        try:
+            agent = DdpgAgent.load(str(path))
+        except CheckpointError:
+            return
+        for net in (agent.actor, agent.critic, agent.target_actor,
+                    agent.target_critic):
+            assert np.isfinite(net.flat).all()
+        for opt in (agent.actor_opt, agent.critic_opt):
+            assert np.isfinite(opt.m).all() and (opt.v >= 0.0).all()
+            assert type(opt.t) is int and opt.t >= 0
+        assert type(agent.noise.variance) is float and agent.noise.variance >= 0.0
+        assert type(agent.noise.value) is float and math.isfinite(agent.noise.value)
+        assert type(agent.episode_count) is int and agent.episode_count >= 0
+
+
+class TestPickle:
+    def test_unpickled_agent_trains_bit_identically(self):
+        agent = filled_agent(seed=3)
+        clone = pickle.loads(pickle.dumps(agent))
+        assert clone.actor_opt.param is clone.actor.flat
+        for net in (clone.actor, clone.critic, clone.target_actor,
+                    clone.target_critic):
+            assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+        for a in (agent, clone):
+            for _ in range(50):
+                a.update()
+                a.soft_update()
+        for name in ("actor", "critic", "target_actor", "target_critic"):
+            assert np.array_equal(getattr(clone, name).flat,
+                                  getattr(agent, name).flat)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            obs = Observation(rng.uniform(0, 2), rng.uniform(9, 11),
+                              rng.uniform(0, 1))
+            assert clone.act(obs) == agent.act(obs)
+
 
 class TestAdam:
     def test_single_step_matches_hand_computation(self):
@@ -451,3 +561,15 @@ class TestConfigValidation:
     def test_rejects_layer_width_below_one(self, hidden_sizes):
         with pytest.raises(ValueError, match="hidden_sizes"):
             AgentConfig(hidden_sizes=hidden_sizes)
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_variance", -1.0), ("noise_variance", math.nan),
+        ("noise_floor", -0.01), ("noise_decay", -1e-4), ("noise_decay", 1.5),
+    ])
+    def test_rejects_out_of_range_noise(self, key, value):
+        with pytest.raises(ValueError, match=f"agent.{key}"):
+            AgentConfig(**{key: value})
+
+    def test_noise_bounds_are_inclusive(self):
+        AgentConfig(noise_variance=0.0, noise_floor=0.0, noise_decay=0.0)
+        AgentConfig(noise_decay=1.0)

@@ -84,7 +84,7 @@ class TestReset:
         assert env1.terrain == env2.terrain
 
     def test_flat_config_first_observation(self):
-        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
+        env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0),
                                             initial_x_dot=0.5))
         assert env.reset(seed=0) == Observation(x_dot=0.5, z_ddot_meas=9.8, p=0.0)
 
@@ -96,7 +96,7 @@ class TestReset:
             centers = tuple(b.center for b in env.terrain.bumps)
             seen.add(centers)
             for a, b in zip(centers, centers[1:]):
-                assert b - a >= env.episode.track_spec.min_spacing
+                assert b - a >= env.episode.track.min_spacing
         assert len(seen) == 100
 
 
@@ -112,7 +112,7 @@ class TestStep:
             env.step(float("nan"))
 
     def test_action_clamped_to_velocity_bounds(self):
-        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0)))
+        env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0)))
         env.reset(seed=0)
         _, _, _, info = env.step(99.0)
         assert info["u_x"] == env.params.u_max
@@ -120,7 +120,7 @@ class TestStep:
         assert info["u_x"] == 0.0
 
     def test_flat_rollout_at_desired_velocity_has_zero_reward(self):
-        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
+        env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0),
                                             initial_x_dot=1.0,
                                             max_steps=100_000))
         env.reset(seed=0)
@@ -134,7 +134,7 @@ class TestStep:
         assert abs(steps - 1200) <= 1
 
     def test_zero_command_from_rest_times_out(self):
-        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
+        env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0),
                                             max_steps=50))
         env.reset(seed=0)
         done = False
@@ -147,7 +147,7 @@ class TestStep:
 
     def test_reward_dip_coincides_with_acceleration_peak(self):
         env = BumpEnv(
-            episode=EpisodeConfig(fixed_track=single_bump_track(),
+            episode=EpisodeConfig(track=single_bump_track(),
                                   initial_x_dot=1.0),
         )
         env.reset(seed=0)
@@ -178,7 +178,7 @@ class TestStep:
         assert run() == run()
 
     def test_done_when_track_end_reached(self):
-        env = BumpEnv(episode=EpisodeConfig(track_spec=TrackSpec(n_bumps=0),
+        env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0),
                                             initial_x_dot=2.0,
                                             max_steps=100_000))
         env.reset(seed=0)
@@ -198,8 +198,8 @@ class TestEpisodeConfigValidation:
             EpisodeConfig(max_steps=0)
 
     def test_random_track_bounds_only_without_a_fixed_track(self):
-        short = TrackSpec(track_length=1.5)  # default placement ends at 9 m
+        # The default placement range ends at 9 m, past a 1.5 m track; a
+        # fixed track never draws from it.
         with pytest.raises(ValueError, match="terrain.placement_range"):
-            BumpEnv(episode=EpisodeConfig(track_spec=short))
-        BumpEnv(episode=EpisodeConfig(track_spec=short,
-                                      fixed_track=single_bump_track()))
+            TrackSpec(track_length=1.5)
+        EpisodeConfig(track=single_bump_track())

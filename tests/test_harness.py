@@ -113,7 +113,7 @@ class TestSeeds:
 
 class TestRolloutBaselines:
     def test_flat_terrain_rides_smooth(self):
-        env = BumpEnv(episode=EpisodeConfig(fixed_track=FLAT, max_steps=600))
+        env = BumpEnv(episode=EpisodeConfig(track=FLAT, max_steps=600))
         m, _ = rollout(env, constant_policy(1.0), seed=0)
         assert m.peak_abs_acc_dev < 1e-9
         assert m.mean_velocity > 0.8
@@ -121,7 +121,7 @@ class TestRolloutBaselines:
     def test_three_bump_track_gives_three_events(self):
         track = random_track(42, TrackSpec())
         env = BumpEnv(
-            episode=EpisodeConfig(fixed_track=track, max_steps=3600,
+            episode=EpisodeConfig(track=track, max_steps=3600,
                                   initial_x_dot=1.0),
         )
         obs = env.reset(seed=0)

@@ -221,7 +221,7 @@ class TestErrors:
     def test_dynamics_error_is_in_band(self):
         # A bump this tall makes the road slope overflow at the first wheel.
         track = TerrainProfile(bumps=(Bump(1e308, 0.2, 0.01),), track_length=1.0)
-        s = EnvServer(lambda: BumpEnv(episode=EpisodeConfig(fixed_track=track)),
+        s = EnvServer(lambda: BumpEnv(episode=EpisodeConfig(track=track)),
                       port=0).start()
         try:
             with RemoteEnv(s.address) as env:

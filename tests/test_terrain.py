@@ -95,9 +95,9 @@ class TestRandomTrack:
                 assert bump.height == spec.bump_height
 
     def test_bump_count_is_capped(self):
-        TrackSpec(n_bumps=MAX_BUMPS, min_spacing=0.0).check_drawable()
+        TrackSpec(n_bumps=MAX_BUMPS, min_spacing=0.0)
         with pytest.raises(ValueError, match="terrain.n_bumps"):
-            TrackSpec(n_bumps=MAX_BUMPS + 1, min_spacing=0.0).check_drawable()
+            TrackSpec(n_bumps=MAX_BUMPS + 1, min_spacing=0.0)
 
     # tests/test_cli.py runs the out-of-range documents; NaN only reaches a
     # directly built spec, since the config rejects it.
@@ -109,18 +109,16 @@ class TestRandomTrack:
         ({"sigma_range": (math.nan, 0.03)}, "sigma_range"),
     ])
     def test_out_of_bounds_spec_names_its_key(self, kwargs, key):
-        spec = TrackSpec(**kwargs)  # a fixed track may sit beside it
         with pytest.raises(ValueError, match=f"terrain.{key}"):
-            spec.check_drawable()
+            TrackSpec(**kwargs)
 
     def test_a_flat_spec_draws_nothing_to_bound(self):
         TrackSpec(track_length=1.0, n_bumps=0, min_spacing=-1.0,
-                  sigma_range=(0.08, 0.03)).check_drawable()
+                  sigma_range=(0.08, 0.03))
 
     def test_bounds_are_inclusive(self):
         spec = TrackSpec(n_bumps=1, placement_range=(10.0, 10.0),
                          sigma_range=(0.05, 0.05), min_spacing=0.0)
-        spec.check_drawable()
         assert random_track(0, spec).bumps[0].center == 10.0
 
     def test_infeasible_spacing_raises(self):

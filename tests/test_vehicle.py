@@ -491,7 +491,7 @@ class TestFusedPathBitExact:
         assert len(exps) == 8 * 4 * 2 + 2
 
     def test_env_imu_reads_model_z_ddot_plus_gravity(self, dense_track):
-        env = BumpEnv(episode=EpisodeConfig(fixed_track=dense_track,
+        env = BumpEnv(episode=EpisodeConfig(track=dense_track,
                                             max_steps=400))
         env.reset(seed=0)
         rng = np.random.default_rng(4)
