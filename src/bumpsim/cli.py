@@ -49,6 +49,7 @@ def cmd_train(args) -> int:
     if args.episodes is not None:
         resolved["train"]["episodes"] = args.episodes
     config = cfg.train_config(resolved, args.out)
+    DdpgAgent(config.agent)  # a MemoryError comes before --out exists
     _echo_config(resolved, args.out)
     train(config)
     return 0
@@ -105,6 +106,7 @@ def cmd_compare(args) -> int:
     base = cfg.train_config(resolved, None)
     for seed in seeds:  # TrainConfig checks each seed before --out exists
         replace(base, seed=seed)
+    DdpgAgent(base.agent)  # and so does a MemoryError
     _echo_config(resolved, args.out)
     compare_rewards(base, seeds, out_dir=args.out)
     return 0
@@ -113,6 +115,7 @@ def cmd_compare(args) -> int:
 def cmd_serve(args) -> int:
     resolved = cfg.load(args.config)
     host, _, port = args.addr.partition(":")
+    _env(resolved)  # a bad config fails here, not at the first client
     serve(lambda: _env(resolved), host=host or "127.0.0.1",
           port=int(port or 5890))
     return 0

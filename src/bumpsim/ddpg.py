@@ -82,9 +82,13 @@ class AgentConfig:
             value = getattr(self, key)
             if not (value >= 0.0):
                 raise ValueError(f"agent.{key} must be >= 0, got {value}")
-        if not (0.0 <= self.noise_decay <= 1.0):
-            raise ValueError(
-                f"agent.noise_decay must lie in [0, 1], got {self.noise_decay}")
+        for key in ("noise_decay", "noise_mean_reversion"):
+            value = getattr(self, key)
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"agent.{key} must lie in [0, 1], got {value}")
+        if not (0.0 < self.reward_scale < math.inf):
+            raise ValueError("agent.reward_scale must be positive and finite, "
+                             f"got {self.reward_scale}")
 
 
 class Mlp:
@@ -262,13 +266,15 @@ class OUNoise:
 
 
 def _write_json(f, v):
-    """Write the bytes of json.dump(v, f), one matrix row at a time.
+    """Write the bytes that json.dump would write for v with every ndarray
+    in it as its .tolist(), one matrix row at a time.
 
     json.dump goes through the pure-Python encoder: for a 64x64 agent it
     takes about twice as long. json.dumps uses the C encoder, but it holds
     the chunks of the whole document at once, which for that agent adds
-    about 4 MB to peak RSS. Splitting dicts and lists of lists, and handing
-    the C encoder only what is left, keeps its speed and holds one row.
+    about 4 MB to peak RSS. Splitting dicts, matrices and lists of lists or
+    arrays, and handing the C encoder one row at a time, keeps its speed;
+    only that row is ever held as Python floats.
     """
     if isinstance(v, dict):
         f.write("{")
@@ -276,13 +282,16 @@ def _write_json(f, v):
             f.write((", " if i else "") + json.dumps(k) + ": ")
             _write_json(f, x)
         f.write("}")
-    elif isinstance(v, list) and v and isinstance(v[0], list):
+    elif (isinstance(v, np.ndarray) and v.ndim == 2
+          or isinstance(v, list) and v and isinstance(v[0], (list, np.ndarray))):
         f.write("[")
         for i, x in enumerate(v):
             if i:
                 f.write(", ")
             _write_json(f, x)
         f.write("]")
+    elif isinstance(v, np.ndarray):
+        f.write(json.dumps(v.tolist()))
     else:
         f.write(json.dumps(v))
 
@@ -398,15 +407,15 @@ class DdpgAgent:
         def net(m: Mlp):
             return {
                 "sizes": list(m.sizes),
-                "weights": [w.tolist() for w in m.weights],
-                "biases": [b.tolist() for b in m.biases],
+                "weights": m.weights,
+                "biases": m.biases,
             }
 
         def opt(o: Adam, m: Mlp):
             return {
                 "t": o.t,
-                "m": [a.tolist() for a in m.split(o.m)],
-                "v": [a.tolist() for a in m.split(o.v)],
+                "m": m.split(o.m),
+                "v": m.split(o.v),
             }
 
         doc = {

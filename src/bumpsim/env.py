@@ -111,7 +111,9 @@ class BumpEnv:
         self.camera = camera
         self.reward_spec = reward_spec
         self.episode = episode
-        self._rng = np.random.default_rng()
+        # Built by the first seeded or drawing reset, so unseeded runs on a
+        # fixed track never import numpy.random.
+        self._rng = None
         self._state: VehicleState | None = None
         self._terrain: TerrainProfile = FLAT
         self._steps = 0
@@ -122,12 +124,19 @@ class BumpEnv:
         return self._terrain
 
     def reset(self, seed=None) -> Observation:
-        """Start a new episode; a seed makes the randomized track deterministic."""
-        if seed is not None:
+        """Start a new episode; a seed makes the randomized track deterministic.
+
+        An unseeded reset draws from the previous seed's stream, or from an
+        OS-seeded one if no seed was ever given.
+        """
+        if seed is not None:  # checked even when the track is fixed
             self._rng = np.random.default_rng(seed)
         track = self.episode.track
-        self._terrain = (track if isinstance(track, TerrainProfile)
-                         else random_track(self._rng, track))
+        if not isinstance(track, TerrainProfile):
+            if self._rng is None:
+                self._rng = np.random.default_rng()
+            track = random_track(self._rng, track)
+        self._terrain = track
         self._state = VehicleState(x_dot=self.episode.initial_x_dot)
         self._steps = 0
         self._t = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -137,7 +138,8 @@ def run_episode(env, policy, seed, on_step=None):
     after every step.
     """
     obs = env.reset(seed=seed)
-    acc, vel, rews = [], [], []
+    # Raw doubles, not float objects: np.asarray reads them as float64.
+    acc, vel, rews = array("d"), array("d"), array("d")
     done = False
     while not done:
         action = policy(obs)
@@ -259,6 +261,7 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
                      out_path: str | None = None):
     """Constant-command evaluation per velocity over a single-bump track.
 
+    The track is fixed, so no reset draws and no episode needs a seed.
     Returns rows of (velocity, Metrics) sorted by velocity.
     """
     if any(v <= 0.0 for v in velocities):
@@ -272,7 +275,7 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
             episode=EpisodeConfig(track=track, max_steps=max_steps,
                                   initial_x_dot=v),
         )
-        m, _ = rollout(env, constant_policy(v), seed=0)
+        m, _ = rollout(env, constant_policy(v))
         rows.append((v, m))
     if out_path is not None:
         write_csv(out_path, ["velocity", *METRICS_CSV_HEADER],

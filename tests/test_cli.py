@@ -4,12 +4,16 @@ import functools
 import json
 import math
 import operator
+import os
 import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
+import bumpsim
 from bumpsim.cli import MAX_SWEEP_SPEEDS, main
 from bumpsim.config import DEFAULTS
 from bumpsim.ddpg import AgentConfig, DdpgAgent
@@ -18,6 +22,20 @@ from bumpsim.terrain import MAX_BUMPS
 
 # One episode of ten steps: a run that a bad document does not stop ends fast.
 SHORT = {"train": {"episodes": 1}, "episode": {"max_steps": 10}}
+
+# Each asks numpy for more than the address space: nothing is allocated, and
+# numpy raises a MemoryError at once.
+OUT_OF_MEMORY = [
+    {"agent": {"buffer_capacity": 10**15}},
+    {"agent": {"hidden_sizes": [10**15]}},
+]
+
+
+def run_python(args, cwd):
+    """Run python with args in a fresh process that imports this bumpsim."""
+    src = str(Path(bumpsim.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
 
 
 @pytest.fixture
@@ -117,6 +135,13 @@ class TestArgHandling:
         ({**SHORT, "agent": {"noise_decay": -1.0}}, "agent.noise_decay"),
         ({**SHORT, "agent": {"noise_decay": 1.5}}, "agent.noise_decay"),
         ({**SHORT, "agent": {"noise_floor": -1.0}}, "agent.noise_floor"),
+        # Each used to run.
+        ({**SHORT, "agent": {"reward_scale": 0.0}}, "agent.reward_scale"),
+        ({**SHORT, "agent": {"reward_scale": -1.0}}, "agent.reward_scale"),
+        ({**SHORT, "agent": {"noise_mean_reversion": -0.5}},
+         "agent.noise_mean_reversion"),
+        ({**SHORT, "agent": {"noise_mean_reversion": 1.5}},
+         "agent.noise_mean_reversion"),
     ])
     def test_bad_config_exits_1_before_any_output(self, tmp_path, capsys,
                                                   doc, where):
@@ -128,19 +153,23 @@ class TestArgHandling:
         assert where in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("doc", [
-        # Each asks numpy for more than the address space: nothing is
-        # allocated, and numpy raises a MemoryError at once.
-        {"agent": {"buffer_capacity": 10**15}},
-        {"agent": {"hidden_sizes": [10**15]}},
-    ])
-    def test_out_of_memory_exits_1(self, tmp_path, capsys, doc):
+    @staticmethod
+    def out_of_memory_exits_1(tmp_path, capsys, doc, command):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(doc))
-        assert main(["train", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("bumpsim train: ") and err.count("\n") == 1
+        assert err.startswith(f"bumpsim {command}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", OUT_OF_MEMORY)
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, doc):
+        self.out_of_memory_exits_1(tmp_path, capsys, doc, "train")
+
+    @pytest.mark.parametrize("doc", OUT_OF_MEMORY)
+    def test_compare_out_of_memory_exits_1(self, tmp_path, capsys, doc):
+        self.out_of_memory_exits_1(tmp_path, capsys, doc, "compare")
 
     def test_deeply_nested_config_exits_1_before_any_output(self, tmp_path,
                                                              capsys):
@@ -386,6 +415,10 @@ class TestEvalCommand:
         pytest.param((("episode_count",), -5), id="negative_episode_count"),
         # Used to end in a ZeroDivisionError traceback after --out existed.
         pytest.param((("config", "u_max"), 0.0), id="zero_u_max"),
+        # Used to load, and eval exited 0.
+        pytest.param((("config", "reward_scale"), "x"), id="string_reward_scale"),
+        pytest.param((("config", "noise_mean_reversion"), math.nan),
+                     id="nan_noise_mean_reversion"),
     ])
     def test_bad_checkpoint_exits_1(self, tiny_config, tmp_path, capsys, text):
         ckpt = tmp_path / "checkpoint.json"
@@ -414,6 +447,22 @@ class TestSweepCommand:
         assert [row.split(",")[0] for row in lines[1:]] == \
             ["0.4", "0.6000000000000001", "0.8"]
 
+    @pytest.mark.parametrize("run", [
+        "from bumpsim.harness import sweep_velocities\n"
+        "sweep_velocities([0.5, 1.0])",
+        "from bumpsim.cli import main\n"
+        "assert main(['sweep', '--config', 'config.json', '--min', '0.5',"
+        " '--max', '1.0', '--step', '0.5', '--out', 'out']) == 0",
+    ], ids=["harness", "cli"])
+    def test_fixed_track_imports_no_rng(self, tmp_path, run):
+        # Nothing on a fixed track is drawn, so numpy.random stays unloaded.
+        (tmp_path / "config.json").write_text("{}")
+        done = run_python(
+            ["-c", f"import sys\n{run}\nprint('numpy.random' in sys.modules)"],
+            cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
 
 class TestCompareCommand:
     def test_produces_comparison_outputs(self, tiny_config, tmp_path):
@@ -427,6 +476,15 @@ class TestCompareCommand:
 
 
 class TestServeCommand:
+    def test_bad_config_exits_1_at_start_up(self, tmp_path):
+        # Used to bind and listen, then drop the first client and exit 1.
+        (tmp_path / "bad.json").write_text(json.dumps({"terrain": {"n_bumps": 20}}))
+        done = run_python(["-m", "bumpsim.cli", "serve", "--config", "bad.json",
+                           "--addr", "127.0.0.1:0"], cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr.startswith("bumpsim serve: ")
+        assert done.stderr.count("\n") == 1 and "terrain.n_bumps" in done.stderr
+
     def test_binds_and_answers_hello(self, tiny_config):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))

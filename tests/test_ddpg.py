@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -275,8 +276,9 @@ class TestNoise:
             assert 0.0 <= u <= agent.config.u_max
 
 
-def filled_agent(seed=0, n=200):
-    agent = DdpgAgent(AgentConfig(batch_size=16, warmup_steps=0), seed=seed)
+def filled_agent(seed=0, n=200, **config):
+    agent = DdpgAgent(AgentConfig(batch_size=16, warmup_steps=0, **config),
+                      seed=seed)
     rng = np.random.default_rng(seed + 100)
     for _ in range(n):
         o = Observation(rng.uniform(0, 2), rng.uniform(9, 11), rng.uniform(0, 1))
@@ -426,6 +428,37 @@ class TestCheckpoint:
         text = Path(path).read_text()
         assert json.dumps(json.loads(text)) == text
 
+    def test_checkpoint_is_json_dumps_of_the_tolist_document(self, tmp_path):
+        # save hands _write_json the arrays themselves; a width-1 hidden
+        # layer makes (n, 1) and (1, 1) matrices and (1,) vectors.
+        agent = filled_agent(seed=4, hidden_sizes=(1,))
+        agent.update()
+
+        def net(m):
+            return {"sizes": list(m.sizes),
+                    "weights": [w.tolist() for w in m.weights],
+                    "biases": [b.tolist() for b in m.biases]}
+
+        def opt(o, m):
+            return {"t": o.t, "m": [a.tolist() for a in m.split(o.m)],
+                    "v": [a.tolist() for a in m.split(o.v)]}
+
+        expected = {
+            "format_version": 1,
+            "config": dataclasses.asdict(agent.config),
+            "actor": net(agent.actor), "critic": net(agent.critic),
+            "target_actor": net(agent.target_actor),
+            "target_critic": net(agent.target_critic),
+            "actor_opt": opt(agent.actor_opt, agent.actor),
+            "critic_opt": opt(agent.critic_opt, agent.critic),
+            "noise": {"variance": agent.noise.variance,
+                      "value": agent.noise.value},
+            "episode_count": agent.episode_count,
+        }
+        path = tmp_path / "ckpt.json"
+        agent.save(str(path))
+        assert path.read_text() == json.dumps(expected)
+
     def test_rejects_other_format_version(self, tmp_path):
         agent = DdpgAgent(AgentConfig(), seed=0)
         path = str(tmp_path / "ckpt.json")
@@ -468,6 +501,10 @@ class TestCheckpoint:
         (("config", "noise_variance"), -1.0),
         (("config", "buffer_capacity"), math.inf),
         (("config", "u_max"), "x"),
+        (("config", "reward_scale"), "x"),
+        (("config", "reward_scale"), 0.0),
+        (("config", "noise_mean_reversion"), math.nan),
+        (("config", "noise_mean_reversion"), 1.5),
     ], ids=lambda x: ".".join(map(str, x)) if isinstance(x, tuple) else repr(x))
     def test_rejects_bad_values(self, tmp_path, where, value):
         path = tmp_path / "ckpt.json"
@@ -565,11 +602,24 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key, value", [
         ("noise_variance", -1.0), ("noise_variance", math.nan),
         ("noise_floor", -0.01), ("noise_decay", -1e-4), ("noise_decay", 1.5),
+        ("noise_mean_reversion", -0.01), ("noise_mean_reversion", 1.5),
+        ("noise_mean_reversion", math.nan),
     ])
     def test_rejects_out_of_range_noise(self, key, value):
         with pytest.raises(ValueError, match=f"agent.{key}"):
             AgentConfig(**{key: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.01, math.inf, math.nan])
+    def test_rejects_reward_scale_outside_positive_finite(self, value):
+        with pytest.raises(ValueError, match="agent.reward_scale"):
+            AgentConfig(reward_scale=value)
+
     def test_noise_bounds_are_inclusive(self):
         AgentConfig(noise_variance=0.0, noise_floor=0.0, noise_decay=0.0)
         AgentConfig(noise_decay=1.0)
+
+    def test_mean_reversion_and_reward_scale_edges(self):
+        AgentConfig(noise_mean_reversion=0.0)
+        AgentConfig(noise_mean_reversion=1.0)
+        AgentConfig(reward_scale=5e-324)  # the least positive double
+        AgentConfig(reward_scale=1.7976931348623157e308)

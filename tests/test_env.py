@@ -18,7 +18,7 @@ from bumpsim.env import (
 )
 from bumpsim.harness import single_bump_track
 from bumpsim.sensors import Observation
-from bumpsim.terrain import TrackSpec
+from bumpsim.terrain import TrackSpec, random_track
 
 
 def obs(z_ddot=9.8, x_dot=1.0, p=0.0):
@@ -98,6 +98,27 @@ class TestReset:
             for a, b in zip(centers, centers[1:]):
                 assert b - a >= env.episode.track.min_spacing
         assert len(seen) == 100
+
+    def test_unseeded_resets_continue_the_last_seeds_stream(self):
+        env = BumpEnv()
+        env.reset(seed=3)
+        tracks = [env.terrain]
+        for _ in range(2):
+            env.reset()
+            tracks.append(env.terrain)
+        rng = np.random.default_rng(3)
+        assert tracks == [random_track(rng, env.episode.track) for _ in range(3)]
+
+    def test_unseeded_fresh_env_draws_a_track(self):
+        env = BumpEnv()
+        env.reset()
+        assert len(env.terrain.bumps) == env.episode.track.n_bumps
+
+    @pytest.mark.parametrize("track", [TrackSpec(), single_bump_track()],
+                             ids=["drawn", "fixed"])
+    def test_bad_seed_raises_on_any_track(self, track):
+        with pytest.raises(ValueError):
+            BumpEnv(episode=EpisodeConfig(track=track)).reset(seed=-1)
 
 
 class TestStep:
