@@ -74,12 +74,16 @@ def _is(value, t) -> bool:
 
 
 def _check(where: str, value, t):
+    """value converted to its key's type t, or a ConfigError: a float key's
+    integer becomes a float, so no run computes or writes an int there."""
     if t is _BUMPS:
-        ok = value is None or isinstance(value, list) and all(
+        if value is None or isinstance(value, list) and all(
             isinstance(b, dict) and b.keys() == {"H", "mu", "sigma"}
             and all(_is(v, float) for v in b.values())
             for b in value
-        )
+        ):
+            return None if value is None else [
+                {k: float(v) for k, v in b.items()} for b in value]
         expected = 'null or list of {"H", "mu", "sigma"} objects of finite numbers'
     elif get_origin(t) is tuple:
         elem, *rest = get_args(t)
@@ -88,16 +92,19 @@ def _check(where: str, value, t):
         if rest != [Ellipsis]:  # fixed length, as the *_range pairs
             ok = ok and len(value) == 1 + len(rest)
             expected = f"list of {1 + len(rest)} {_TYPE_NAMES[elem]}s"
+        if ok:
+            return [elem(v) for v in value]
+    elif _is(value, t):
+        return t(value)
     else:
-        ok = _is(value, t)
         expected = _TYPE_NAMES[t]
-    if not ok:
-        raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
+    raise ConfigError(f"{where}: expected {expected}, got {json.dumps(value)}")
 
 
 def resolve(doc: dict) -> dict:
     """Merge a config document over DEFAULTS, rejecting unknown keys and
-    values whose JSON type does not match the key's."""
+    values whose JSON type does not match the key's; each given value is
+    converted to its key's type."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     resolved = {}
@@ -110,9 +117,10 @@ def resolve(doc: dict) -> dict:
             raise ConfigError(
                 f"unknown keys in section {section!r}: {sorted(unknown)}"
             )
-        for key, value in given.items():
-            _check(f"{section}.{key}", value, keys[key][1])
-        resolved[section] = {**DEFAULTS[section], **given}
+        resolved[section] = {**DEFAULTS[section], **{
+            key: _check(f"{section}.{key}", value, keys[key][1])
+            for key, value in given.items()
+        }}
     unknown_sections = set(doc) - set(DEFAULTS)
     if unknown_sections:
         raise ConfigError(f"unknown config sections: {sorted(unknown_sections)}")

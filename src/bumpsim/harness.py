@@ -154,14 +154,19 @@ def run_episode(env, policy, seed, on_step=None):
 
 
 def rollout(env, policy, seed=None, record=False):
-    """Run one greedy episode; returns (Metrics, timeseries rows or None)."""
-    rows = [] if record else None
+    """Run one greedy episode; returns (Metrics, rows).
+
+    With record, rows is one array("d") that holds each step's
+    TIMESERIES_CSV_HEADER values in header order, 9 raw doubles per step;
+    without it rows is None.
+    """
+    rows = array("d") if record else None
 
     def record_row(obs, action, r, next_obs, done, info):
-        rows.append([
+        rows.extend((
             info["t"], info["x"], info["x_dot"], info["u_x"], info["z"],
             info["theta"], next_obs.z_ddot_meas, next_obs.p, r,
-        ])
+        ))
 
     m, _ = run_episode(env, policy, seed, record_row if record else None)
     return m, rows
@@ -227,16 +232,21 @@ def evaluate(policy, env, episodes: int = 1, base_seed: int = 12345,
              out_dir: str | None = None, tag: str = "eval"):
     """Noise-free greedy rollouts; returns (aggregate Metrics, per-episode list)."""
     per_episode = []
+    width = len(TIMESERIES_CSV_HEADER)
     for i in range(episodes):
         record = out_dir is not None
         m, rows = rollout(env, policy, seed=base_seed + i, record=record)
         per_episode.append(m)
         if record:
             os.makedirs(out_dir, exist_ok=True)
+            # A slice of an array("d") yields Python floats, which csv
+            # writes as repr does.
             write_csv(
                 os.path.join(out_dir, f"{tag}_episode_{i}.csv"),
-                TIMESERIES_CSV_HEADER, rows,
+                TIMESERIES_CSV_HEADER,
+                (rows[k:k + width] for k in range(0, len(rows), width)),
             )
+        del rows  # before the next episode records its own
     return aggregate_metrics(per_episode), per_episode
 
 
@@ -318,6 +328,7 @@ def compare_rewards(base: TrainConfig, seeds,
             )
             m, _ = evaluate(result.agent.act, eval_env)
             rows.append((variant, seed, m))
+            del result  # its agent and replay buffer, before the next train
     for seed in seeds:
         audits = {v: seed_audit[(v, seed)] for v in REWARD_VARIANTS}
         first = next(iter(audits.values()))

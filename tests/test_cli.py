@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through main() in-process."""
 
+import csv
 import functools
 import json
 import math
@@ -14,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import bumpsim
+from bumpsim import config as cfg
 from bumpsim.cli import MAX_SWEEP_SPEEDS, main
 from bumpsim.config import DEFAULTS
 from bumpsim.ddpg import AgentConfig, DdpgAgent
+from bumpsim.env import BumpEnv
 from bumpsim.protocol import PROTOCOL_VERSION
 from bumpsim.terrain import MAX_BUMPS
 
@@ -401,6 +404,25 @@ class TestEvalCommand:
                      "--checkpoint", str(run / "checkpoint.json"),
                      "--out", str(out)]) == 0
         assert (out / "policy_episode_0.csv").exists()
+
+    def test_integer_for_a_float_key_runs_as_a_float(self, tmp_path):
+        # An integer u_max used to reach the clamp as an int: u_x read 3.
+        doc = {"vehicle": {"u_max": 3}, "terrain": {"fixed_bumps": []},
+               "episode": {"max_steps": 5}}
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", str(path), "--constant-velocity", "5",
+                     "--out", str(out)]) == 0
+        with open(out / "open_loop_episode_0.csv", newline="") as f:
+            assert [row["u_x"] for row in csv.DictReader(f)] == ["3.0"] * 5
+        assert '"u_max": 3.0' in (out / "resolved_config.json").read_text()
+        resolved = cfg.resolve(doc)
+        env = BumpEnv(params=cfg.vehicle_params(resolved),
+                      episode=cfg.episode_config(resolved))
+        assert type(env.params.u_max) is float
+        env.reset()
+        assert type(env.step(5.0)[3]["u_x"]) is float
 
     @pytest.mark.parametrize("text", [
         "[]", "3", "null", '{"format_version": 0}',

@@ -68,3 +68,18 @@ def test_any_document_resolves_or_raises_value_error(doc):
         cfg.episode_config(resolved)
     except ValueError:
         pass
+
+
+def test_each_given_value_takes_its_keys_type():
+    resolved = cfg.resolve({
+        "vehicle": {"u_max": 3},
+        "terrain": {"sigma_range": [0, 1], "n_bumps": 2,
+                    "fixed_bumps": [{"H": 0, "mu": 2, "sigma": 1}]},
+        "agent": {"hidden_sizes": [8, 8]},
+    })
+    assert repr(resolved["vehicle"]["u_max"]) == "3.0"
+    assert repr(resolved["terrain"]["sigma_range"]) == "[0.0, 1.0]"
+    assert repr(resolved["terrain"]["fixed_bumps"]) == \
+        "[{'H': 0.0, 'mu': 2.0, 'sigma': 1.0}]"
+    assert repr(resolved["terrain"]["n_bumps"]) == "2"
+    assert repr(resolved["agent"]["hidden_sizes"]) == "[8, 8]"

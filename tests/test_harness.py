@@ -1,6 +1,10 @@
 """Training loop, metrics, baselines, and experiment recipe tests."""
 
+import csv
+import io
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from bumpsim.ddpg import AgentConfig, DdpgAgent
 from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
 from bumpsim.harness import (
     EPISODE_CSV_HEADER,
+    TIMESERIES_CSV_HEADER,
     Metrics,
     TrainConfig,
     aggregate_metrics,
@@ -20,6 +25,7 @@ from bumpsim.harness import (
     evaluate,
     metrics_from_trace,
     rollout,
+    run_episode,
     single_bump_track,
     sweep_velocities,
     train,
@@ -30,6 +36,20 @@ from bumpsim.terrain import FLAT, TrackSpec, random_track
 FAST_AGENT = AgentConfig(
     batch_size=16, buffer_capacity=2000, warmup_steps=20, hidden_sizes=(8, 8),
 )
+
+
+# The perfbench eval track: 12 bumps in 17 m.
+DENSE_TRACK = TrackSpec(track_length=20.0, n_bumps=12, placement_range=(2.0, 19.0))
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_train_config(tmp_path=None, **kw):
@@ -68,9 +88,7 @@ class TestMetrics:
     def test_metrics_recompute_from_recorded_rows(self):
         env = BumpEnv(episode=EpisodeConfig(max_steps=400))
         m, rows = rollout(env, constant_policy(1.0), seed=7, record=True)
-        acc = [r[6] for r in rows]
-        vel = [r[2] for r in rows]
-        rew = [r[8] for r in rows]
+        acc, vel, rew = rows[6::9], rows[2::9], rows[8::9]
         m2 = metrics_from_trace(acc, vel, rew, env.reward_spec.x_dot_d)
         for f in Metrics.__dataclass_fields__:
             assert getattr(m, f) == pytest.approx(getattr(m2, f), rel=1e-12)
@@ -238,6 +256,36 @@ class TestEvaluate:
         assert agg.peak_abs_acc_dev == max(m.peak_abs_acc_dev for m in per)
         assert len(list(tmp_path.glob("eval_episode_*.csv"))) == 3
 
+    @pytest.mark.parametrize("u_x", [1.2, 2.5])  # 2.5 > u_max: every step clamped
+    def test_csv_bytes_equal_the_list_of_rows_form(self, tmp_path, u_x):
+        env = BumpEnv(episode=EpisodeConfig(track=DENSE_TRACK, max_steps=1200))
+        policy = constant_policy(u_x)
+        evaluate(policy, env, episodes=2, base_seed=3, out_dir=str(tmp_path))
+        for i in range(2):
+            rows = []
+            run_episode(env, policy, 3 + i, lambda obs, a, r, nxt, done, info:
+                        rows.append([info["t"], info["x"], info["x_dot"],
+                                     info["u_x"], info["z"], info["theta"],
+                                     nxt.z_ddot_meas, nxt.p, r]))
+            text = io.StringIO()
+            w = csv.writer(text)
+            w.writerow(TIMESERIES_CSV_HEADER)
+            w.writerows(rows)
+            got = (tmp_path / f"eval_episode_{i}.csv").read_bytes()
+            assert got == text.getvalue().encode()
+
+    def test_holds_one_episode_at_a_time(self, tmp_path):
+        env = BumpEnv(episode=EpisodeConfig(track=FLAT, max_steps=1000))
+
+        def run(episodes):
+            evaluate(constant_policy(0.5), env, episodes=episodes,
+                     out_dir=str(tmp_path))
+
+        run(1)  # warm-up
+        one = traced_peak(run, 1)
+        assert len((tmp_path / "eval_episode_0.csv").read_text().splitlines()) == 1001
+        assert traced_peak(run, 2) <= 1.1 * one
+
 
 class TestCompareRewards:
     def test_shapes_audit_and_outputs(self, tmp_path):
@@ -254,3 +302,11 @@ class TestCompareRewards:
         assert (tmp_path / "comparison.csv").exists()
         text = (tmp_path / "comparison.txt").read_text()
         assert "lowest mean peak_abs_acc_dev:" in text
+
+    def test_releases_each_run_before_training_the_next(self):
+        # A replay buffer that outweighs the rest of a run.
+        base = tiny_train_config(episodes=2, agent=replace(
+            FAST_AGENT, buffer_capacity=20_000, hidden_sizes=(16, 16)))
+        compare_rewards(base, seeds=[0])  # warm-up
+        one = traced_peak(train, base)
+        assert traced_peak(compare_rewards, base, seeds=[0]) <= 1.25 * one

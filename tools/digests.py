@@ -6,8 +6,9 @@
     python tools/digests.py --against REV --allow resolved_config.json
 
 The set: `train` for seeds 0 and 7 (3 episodes, with updates), `eval` of the
-seed-0 checkpoint, constant-velocity `eval` on dense 12-bump tracks, on a
-flat track and on a fixed two-bump track, `sweep` on the default track and on
+seed-0 checkpoint, constant-velocity `eval` on dense 12-bump tracks (once
+at a command above `u_max`, so every step is clamped), on a flat track and
+on a fixed two-bump track, `sweep` on the default track and on
 the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
 session (two resets, a bad seed and a bad action), whose response lines are
 the session's output.
@@ -59,6 +60,7 @@ JOBS = [
     ("eval_checkpoint", TRAIN,
      ["eval", "--checkpoint", "train_seed0/checkpoint.json", "--episodes", "2"]),
     ("eval_dense", DENSE, ["eval", "--constant-velocity", "1.2", "--episodes", "3"]),
+    ("eval_clamped", DENSE, ["eval", "--constant-velocity", "2.5", "--episodes", "2"]),
     ("eval_flat", FLAT, ["eval", "--constant-velocity", "0.7"]),
     ("eval_two_bumps", TWO_BUMPS, ["eval", "--constant-velocity", "1.0"]),
     ("sweep_default", {}, ["sweep"]),
