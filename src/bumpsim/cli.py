@@ -1,4 +1,8 @@
-"""Command-line entry point: train / eval / sweep / compare / serve."""
+"""Command-line entry point: train / eval / sweep / compare / serve.
+
+The learner and the experiment harness import numpy, so only the commands
+that use them import them: `serve` runs on the standard library alone.
+"""
 
 from __future__ import annotations
 
@@ -9,17 +13,7 @@ import sys
 from dataclasses import astuple, replace
 
 from . import config as cfg
-from .ddpg import CheckpointError, DdpgAgent
 from .env import BumpEnv
-from .harness import (
-    METRICS_CSV_HEADER,
-    compare_rewards,
-    constant_policy,
-    evaluate,
-    sweep_velocities,
-    train,
-    write_csv,
-)
 from .protocol import serve
 from .vehicle import DynamicsError
 
@@ -43,6 +37,8 @@ def _env(resolved: dict) -> BumpEnv:
 
 
 def cmd_train(args) -> int:
+    from .ddpg import DdpgAgent
+    from .harness import train
     resolved = cfg.load(args.config)
     if args.seed is not None:
         resolved["train"]["seed"] = args.seed
@@ -56,6 +52,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .ddpg import DdpgAgent
+    from .harness import METRICS_CSV_HEADER, constant_policy, evaluate, write_csv
     if (args.checkpoint is None) == (args.constant_velocity is None):
         raise ValueError(
             "give exactly one of --checkpoint or --constant-velocity")
@@ -81,6 +79,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import sweep_velocities
     if not (0.0 < args.min <= args.max < math.inf and 0.0 < args.step < math.inf):
         raise ValueError("need 0 < --min <= --max and 0 < --step, all finite")
     intervals = (args.max - args.min) / args.step  # round(intervals) + 1 speeds
@@ -101,6 +100,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .ddpg import DdpgAgent
+    from .harness import compare_rewards
     resolved = cfg.load(args.config)
     seeds = [int(s) for s in args.seeds.split(",")]
     base = cfg.train_config(resolved, None)
@@ -170,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # a ConfigError is a ValueError
+    try:  # a ConfigError or CheckpointError is a ValueError
         return args.func(args)
-    except (CheckpointError, DynamicsError, OSError, ValueError, MemoryError) as e:
+    except (DynamicsError, OSError, ValueError, MemoryError) as e:
         print(f"bumpsim {args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
+from .config import AgentConfig
 from .sensors import Observation
 from .vehicle import GRAVITY_NOMINAL
 
@@ -27,68 +28,13 @@ class InsufficientData(RuntimeError):
     """Replay buffer has fewer transitions than the batch size."""
 
 
-class CheckpointError(Exception):
-    """Base class for checkpoint load failures."""
+class CheckpointError(ValueError):
+    """Base class for checkpoint load failures. A ValueError, so the CLI
+    reports it as it reports a bad config, without importing this module."""
 
 
 class FormatVersionMismatch(CheckpointError):
     """Checkpoint file carries an unsupported format version."""
-
-
-@dataclass(frozen=True)
-class AgentConfig:
-    """Training hyperparameters; defaults follow the training-parameter table."""
-
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
-    gamma: float = 0.99
-    batch_size: int = 64
-    tau_soft: float = 1e-3
-    buffer_capacity: int = 100_000
-    warmup_steps: int = 1000
-    hidden_sizes: tuple[int, ...] = (64, 64)
-    u_max: float = 2.0
-    noise_variance: float = 0.8
-    noise_decay: float = 1e-4
-    noise_floor: float = 0.01
-    noise_mean_reversion: float = 0.15
-    # Rewards reach the -100s per step near bumps; scaling them into the
-    # critic's comfortable output range stabilizes value regression. Applied
-    # on store(), so logged episode returns stay in true reward units.
-    reward_scale: float = 0.01
-
-    def __post_init__(self):
-        if not (self.actor_lr > 0.0 and self.critic_lr > 0.0):
-            raise ValueError("learning rates must be positive")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
-        if not (0.0 < self.tau_soft <= 1.0):
-            raise ValueError("tau_soft must lie in (0, 1]")
-        if not (1 <= self.batch_size <= self.buffer_capacity):
-            raise ValueError(
-                f"need 1 <= batch_size ({self.batch_size}) <= buffer_capacity "
-                f"({self.buffer_capacity})"
-            )
-        if not all(width >= 1 for width in self.hidden_sizes):
-            raise ValueError(
-                f"agent.hidden_sizes: every layer width must be >= 1, got "
-                f"{list(self.hidden_sizes)}"
-            )
-        # normalize_obs divides by u_max; a config takes it from vehicle.u_max.
-        if not (0.0 < self.u_max < math.inf):
-            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
-        # OUNoise.sample takes the square root of the variance.
-        for key in ("noise_variance", "noise_floor"):
-            value = getattr(self, key)
-            if not (value >= 0.0):
-                raise ValueError(f"agent.{key} must be >= 0, got {value}")
-        for key in ("noise_decay", "noise_mean_reversion"):
-            value = getattr(self, key)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"agent.{key} must lie in [0, 1], got {value}")
-        if not (0.0 < self.reward_scale < math.inf):
-            raise ValueError("agent.reward_scale must be positive and finite, "
-                             f"got {self.reward_scale}")
 
 
 class Mlp:

@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .sensors import CameraSpec, Observation, observe
-from .terrain import FLAT, TerrainProfile, TrackSpec, random_track
+from .terrain import FLAT, TerrainProfile, TrackRng, TrackSpec, random_track
 from .vehicle import (
     GRAVITY_NOMINAL,
     VehicleParams,
@@ -111,9 +109,9 @@ class BumpEnv:
         self.camera = camera
         self.reward_spec = reward_spec
         self.episode = episode
-        # Built by the first seeded or drawing reset, so unseeded runs on a
-        # fixed track never import numpy.random.
-        self._rng = None
+        # The track stream, built by the first seeded or drawing reset: an
+        # unseeded run on a fixed track reads no OS entropy.
+        self._rng: TrackRng | None = None
         self._state: VehicleState | None = None
         self._terrain: TerrainProfile = FLAT
         self._steps = 0
@@ -130,11 +128,11 @@ class BumpEnv:
         OS-seeded one if no seed was ever given.
         """
         if seed is not None:  # checked even when the track is fixed
-            self._rng = np.random.default_rng(seed)
+            self._rng = TrackRng(seed)
         track = self.episode.track
         if not isinstance(track, TerrainProfile):
             if self._rng is None:
-                self._rng = np.random.default_rng()
+                self._rng = TrackRng()
             track = random_track(self._rng, track)
         self._terrain = track
         self._state = VehicleState(x_dot=self.episode.initial_x_dot)

@@ -11,11 +11,12 @@ import csv
 import math
 import os
 from array import array
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .ddpg import AgentConfig, DdpgAgent
+from .config import TrainConfig
+from .ddpg import DdpgAgent
 from .env import BumpEnv, EpisodeConfig, RewardSpec
 from .sensors import CameraSpec
 from .terrain import DEFAULT_BUMP_HEIGHT, Bump, TerrainProfile
@@ -42,41 +43,6 @@ class Metrics:
 
 
 METRICS_CSV_HEADER = [f.name for f in fields(Metrics)]
-
-
-# train() draws every episode's reset seed up front, one array of this many.
-MAX_EPISODES = 1_000_000
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Everything needed to reproduce a training run."""
-
-    episodes: int = 500
-    seed: int = 0
-    params: VehicleParams = field(default_factory=VehicleParams)
-    camera: CameraSpec = field(default_factory=CameraSpec)
-    reward_spec: RewardSpec = field(default_factory=RewardSpec)
-    episode: EpisodeConfig = field(default_factory=EpisodeConfig)
-    agent: AgentConfig = field(default_factory=AgentConfig)
-    out_dir: str | None = None
-    checkpoint_interval: int = 100  # episodes between periodic checkpoints
-
-    def __post_init__(self):
-        if not (self.seed >= 0):
-            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
-        if not (1 <= self.episodes <= MAX_EPISODES):
-            raise ValueError(
-                f"train.episodes must lie in [1, {MAX_EPISODES}], got {self.episodes}")
-        if not (self.checkpoint_interval >= 1):
-            raise ValueError("train.checkpoint_interval must be >= 1, got "
-                             f"{self.checkpoint_interval}")
-        # train() starts updating after warmup_steps + 1 stored transitions.
-        if self.agent.warmup_steps + 1 < self.agent.batch_size:
-            raise ValueError(
-                f"agent.warmup_steps + 1 ({self.agent.warmup_steps + 1}) must be "
-                f">= agent.batch_size ({self.agent.batch_size})"
-            )
 
 
 @dataclass

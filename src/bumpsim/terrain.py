@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
+import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 DEFAULT_BUMP_HEIGHT = 0.008  # m, max bump height of the scaled-vehicle track
 # The paper's tracks have a few bumps; each reset draws and builds all of them.
@@ -181,21 +181,106 @@ class TrackSpec:
                 f"terrain.sigma_range must satisfy 0 < lo <= hi, got [{s_lo}, {s_hi}]")
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and its
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+class TrackRng:
+    """The stream of numpy's default_rng(seed), bit for bit, in the standard
+    library, so that drawing a track does not load numpy.
+
+    Seeding is numpy's SeedSequence over an int seed (a pool of 4 32-bit
+    words) and its generate_state(4, uint64). The generator is PCG64, XSL-RR
+    128/64 (O'Neill 2014), and a double is a draw's top 53 bits times 2**-53.
+    Without a seed it seeds from 128 bits of os.urandom, as numpy does from
+    the OS. Invalid arguments raise numpy's exceptions, messages included.
+    """
+
+    def __init__(self, seed=None):
+        if seed is None:
+            seed = int.from_bytes(os.urandom(16), "little")
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed & _MASK32]  # little-endian 32-bit words
+        while seed := seed >> 32:
+            entropy.append(seed & _MASK32)
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+            return result ^ result >> 16
+
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for i_src in range(4):
+            for i_dst in range(4):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[4:]:
+            for i_dst in range(4):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        # generate_state(4, uint64): 8 words, paired low word first.
+        hash_const, words = _INIT_B, []
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * hash_const & _MASK32
+            words.append(value ^ value >> 16)
+        w = [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+        init_state, init_seq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+        # state 0, step, add init_state, step.
+        self._inc = (init_seq << 1 | 1) & _MASK128
+        self._state = ((self._inc + init_state) * _PCG_MULT + self._inc) & _MASK128
+
+    def _next_double(self) -> float:
+        """Step, then output from the new state."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        value = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        value = (value >> rot | value << (64 - rot)) & _MASK64
+        return (value >> 11) * 2.0**-53
+
+    def uniform(self, low, high, size: int) -> list:
+        """numpy's Generator.uniform(low, high, size=size), as a list."""
+        low, high = float(low), float(high)
+        span = high - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0.0:  # -0.0 too, as numpy's signbit
+            raise ValueError("high - low < 0")
+        return [low + span * self._next_double() for _ in range(size)]
+
+
 def random_track(seed, spec: TrackSpec = TrackSpec()) -> TerrainProfile:
     """Deterministically generate a track with sorted, min-spaced bump centers.
 
-    Accepts an int seed or a numpy Generator.
+    Accepts an int seed, which draws from TrackRng(seed), or a generator with
+    numpy's uniform(low, high, size=n), such as a TrackRng or a numpy
+    Generator.
     """
     lo, hi = spec.placement_range
     n = spec.n_bumps
     if n == 0:
         return TerrainProfile(bumps=(), track_length=spec.track_length)
     slack = (hi - lo) - (n - 1) * spec.min_spacing
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if hasattr(seed, "uniform") else TrackRng(seed)
     # Spacing transform: sorted uniforms on the slack interval plus mandatory
-    # gaps give exact min-spacing without rejection sampling.
-    offsets = np.sort(rng.uniform(0.0, slack, size=n))
-    centers = lo + offsets + spec.min_spacing * np.arange(n)
+    # gaps give exact min-spacing without rejection sampling. The sums run in
+    # numpy's order, (lo + offset) + min_spacing * k.
+    offsets = sorted(rng.uniform(0.0, slack, size=n))
+    centers = [lo + o + spec.min_spacing * k for k, o in enumerate(offsets)]
     sigmas = rng.uniform(spec.sigma_range[0], spec.sigma_range[1], size=n)
     bumps = tuple(
         Bump(height=spec.bump_height, center=float(c), spread=float(s))

@@ -52,6 +52,9 @@ class VehicleParams:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"VehicleParams.{name} must be strictly positive, got {v}")
+            # An int would reach the clamped action, info["u_x"] and the
+            # protocol's action_spec as an int.
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)

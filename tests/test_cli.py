@@ -486,6 +486,40 @@ class TestSweepCommand:
         assert done.stdout == "False\n"
 
 
+class TestImports:
+    def test_serve_and_remote_env_import_no_numpy(self, tmp_path):
+        # The simulator, the server and its client need only the standard
+        # library; a seeded and then an unseeded reset draw tracks.
+        run = (
+            "import sys\n"
+            "from bumpsim import cli, config as cfg\n"
+            "from bumpsim.protocol import EnvServer, RemoteEnv\n"
+            "resolved = cfg.resolve({})\n"
+            "server = EnvServer(lambda: cli._env(resolved)).start()\n"
+            "with RemoteEnv(server.address) as env:\n"
+            "    env.reset(seed=3)\n"
+            "    env.step(1.0)\n"
+            "    env.reset()\n"
+            "server.shutdown()\n"
+            "print('numpy' in sys.modules)"
+        )
+        done = run_python(["-c", run], cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
+    def test_package_names_load_on_first_use(self, tmp_path):
+        run = (
+            "import sys\n"
+            "import bumpsim\n"
+            "print('numpy' in sys.modules)\n"
+            "from bumpsim import DdpgAgent, train\n"
+            "print(DdpgAgent.__module__, train.__module__)"
+        )
+        done = run_python(["-c", run], cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\nbumpsim.ddpg bumpsim.harness\n"
+
+
 class TestCompareCommand:
     def test_produces_comparison_outputs(self, tiny_config, tmp_path):
         out = tmp_path / "cmp"

@@ -22,6 +22,7 @@ from bumpsim.protocol import (
     VersionMismatch,
 )
 from bumpsim.terrain import Bump, TerrainProfile
+from bumpsim.vehicle import VehicleParams
 
 
 def make_env():
@@ -53,6 +54,14 @@ class TestHandshake:
             assert env.obs_spec == ["x_dot", "z_ddot_meas", "p"]
             assert env.action_spec == {"low": 0.0, "high": 2.0}
             assert env.reward_spec == RewardSpec()
+
+    def test_integer_u_max_is_sent_as_a_float(self):
+        s = EnvServer(lambda: BumpEnv(params=VehicleParams(u_max=3))).start()
+        try:
+            with RemoteEnv(s.address) as env:
+                assert repr(env.action_spec["high"]) == "3.0"
+        finally:
+            s.shutdown()
 
     def test_version_mismatch_rejected(self, server):
         sock, reader = raw_session(server.address)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bumpsim import terrain
 from bumpsim.terrain import (
     FLAT,
     MAX_BUMPS,
     Bump,
     InfeasibleSpec,
     TerrainProfile,
+    TrackRng,
     TrackSpec,
     random_track,
 )
@@ -129,6 +133,56 @@ class TestRandomTrack:
     def test_distinct_seeds_give_distinct_tracks(self):
         profiles = {random_track(s).bumps for s in range(100)}
         assert len(profiles) == 100
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# numpy's default_rng is the reference for the track stream.
+class TestTrackRng:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1),
+           calls=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+                                    st.integers(1, 12)),
+                          min_size=2, max_size=2))
+    def test_uniform_matches_numpy(self, seed, calls):
+        ours, numpy_rng = TrackRng(seed), np.random.default_rng(seed)
+        for a, b, n in calls:
+            low, high = min(a, b), max(a, b)
+            assert [x.hex() for x in ours.uniform(low, high, size=n)] == \
+                [x.hex() for x in numpy_rng.uniform(low, high, size=n).tolist()]
+
+    @pytest.mark.parametrize("low, high", [
+        (0.0, math.inf), (-1e308, 1e308), (0.0, math.nan), (1.0, 0.0), (0.0, -0.0),
+    ])
+    def test_bad_range_raises_as_numpy_does(self, low, high):
+        assert raised(lambda: TrackRng(0).uniform(low, high, size=1)) == \
+            raised(lambda: np.random.default_rng(0).uniform(low, high, size=1))
+
+    def test_negative_seed_raises_as_numpy_does(self):
+        assert raised(lambda: TrackRng(-1)) == \
+            raised(lambda: np.random.default_rng(-1)) == \
+            (ValueError, "expected non-negative integer")
+
+    def test_unseeded_seeds_from_128_os_bits(self, monkeypatch):
+        monkeypatch.setattr(terrain.os, "urandom", lambda n: bytes(range(1, n + 1)))
+        seed = int.from_bytes(bytes(range(1, 17)), "little")
+        assert TrackRng().uniform(0.0, 1.0, size=4) == \
+            np.random.default_rng(seed).uniform(0.0, 1.0, size=4).tolist()
+
+    # Integer bounds in a Python-built spec must round as numpy's arrays do.
+    @pytest.mark.parametrize("spec", [
+        TrackSpec(),
+        TrackSpec(track_length=20.0, n_bumps=12, placement_range=(2.0, 19.0)),
+        TrackSpec(track_length=20, n_bumps=12, placement_range=(2, 19), min_spacing=1),
+    ], ids=["default", "dense", "integers"])
+    def test_int_seed_draws_numpys_track(self, spec):
+        for seed in [*range(100), 2**32 + 1, 2**64 + 5, 2**200]:
+            assert random_track(seed, spec) == \
+                random_track(np.random.default_rng(seed), spec)
 
 
 class TestValidation:

@@ -40,6 +40,13 @@ class TestParams:
             VehicleParams(**{field: 0.0})
 
 
+    def test_integer_fields_run_as_floats(self):
+        env = BumpEnv(params=VehicleParams(u_max=3))
+        env.reset(seed=0)
+        _, _, _, info = env.step(5.0)
+        assert type(info["u_x"]) is float and info["u_x"] == 3.0
+
+
 class TestDerivatives:
     def test_equilibrium_is_fixed_point(self, params):
         d = derivatives(VehicleState(), 0.0, params, FLAT)

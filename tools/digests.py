@@ -10,8 +10,12 @@ seed-0 checkpoint, constant-velocity `eval` on dense 12-bump tracks (once
 at a command above `u_max`, so every step is clamped), on a flat track and
 on a fixed two-bump track, `sweep` on the default track and on
 the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
-session (two resets, a bad seed and a bad action), whose response lines are
-the session's output.
+session, whose response lines are the session's output. The session resets
+at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, and once
+without a seed, which continues the last seed's stream, then sends a bad
+seed and a bad action. Since `--against` plays the working tree's session
+on both trees, it checks the track stream of one tree against the other's
+through the real server.
 
 An --allow NAME matches an output's full name or its file name. The digests
 depend on the libm and numpy build, so compare two trees on one machine; the
@@ -75,10 +79,17 @@ CONNECT_TIMEOUT_S = 30.0
 def _session_requests(version):
     rng = random.Random(0)
     steps = [{"type": "step", "u_x": rng.uniform(0.0, 2.0)} for _ in range(150)]
+    # Far enough (about 3.8 m) to cross the first bump of each dense track.
+    over_a_bump = steps * 3
     return [
         {"type": "hello", "version": version},
         {"type": "reset", "seed": 0}, *steps,
         {"type": "reset", "seed": 1}, *steps,
+        # Seeds of 2 and 3 32-bit words, then an unseeded reset that
+        # continues the last seed's stream.
+        {"type": "reset", "seed": 2**32 + 1}, *over_a_bump,
+        {"type": "reset", "seed": 2**64 + 5}, *over_a_bump,
+        {"type": "reset"}, *over_a_bump,
         {"type": "reset", "seed": -1},
         {"type": "step", "u_x": float("nan")},
         {"type": "close"},
