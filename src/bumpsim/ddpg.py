@@ -151,42 +151,37 @@ class Adam:
         self.param -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
-class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+def replay_columns(rows):
+    """(obs, action, reward, next_obs, done) views of one replay row or a
+    matrix of them: the one place that names the columns of a row,
+    obs (3) | action | reward | next_obs (3) | done. The first four are the
+    critic's input."""
+    return rows[..., :3], rows[..., 3], rows[..., 4], rows[..., 5:8], rows[..., 8]
 
-    def __init__(self, capacity: int, obs_dim: int = 3):
+
+class ReplayBuffer:
+    """Fixed-capacity ring of transition rows with uniform sampling."""
+
+    def __init__(self, capacity: int):
         self.capacity = int(capacity)
-        self.obs = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros(capacity)
-        self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity)
+        self.rows = np.zeros((self.capacity, 9))
         self.size = 0
         self.cursor = 0
 
     def push(self, obs, action, r, next_obs, done):
-        i = self.cursor
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = r
-        self.next_obs[i] = next_obs
-        self.dones[i] = 1.0 if done else 0.0
-        self.cursor = (i + 1) % self.capacity
+        for column, value in zip(replay_columns(self.rows[self.cursor]),
+                                 (obs, action, r, next_obs, done)):
+            column[...] = value
+        self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """batch_size rows drawn uniformly with replacement, as one matrix."""
         if self.size < batch_size:
             raise InsufficientData(
                 f"buffer holds {self.size} < batch size {batch_size}"
             )
-        idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.obs[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_obs[idx],
-            self.dones[idx],
-        )
+        return self.rows[rng.integers(0, self.size, size=batch_size)]
 
 
 class OUNoise:
@@ -306,7 +301,8 @@ class DdpgAgent:
     def update(self):
         """One critic regression step and one actor ascent step on a batch."""
         cfg = self.config
-        obs, act, rew, nobs, done = self.buffer.sample(cfg.batch_size, self.sample_rng)
+        rows = self.buffer.sample(cfg.batch_size, self.sample_rng)
+        obs, _, rew, nobs, done = replay_columns(rows)
         n = cfg.batch_size
 
         # Critic target: y = r + gamma * (1 - done) * Q'(s', mu'(s'))
@@ -315,7 +311,7 @@ class DdpgAgent:
         nq = self.target_critic.forward(np.hstack([nobs, na]))[:, 0]
         y = rew + cfg.gamma * (1.0 - done) * nq
 
-        q, cache = self.critic.forward_cached(np.hstack([obs, act[:, None]]))
+        q, cache = self.critic.forward_cached(rows[:, :4])  # obs | action
         td = q[:, 0] - y
         critic_loss = float(np.mean(td * td))
         grad_q = (2.0 / n) * td[:, None]

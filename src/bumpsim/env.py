@@ -18,6 +18,7 @@ from .vehicle import (
     VehicleParams,
     VehicleState,
     derivatives,
+    floats_from_ints,
     step_rk4,
 )
 
@@ -65,6 +66,7 @@ class RewardSpec:
             raise ValueError("threshold must lie in (0, 1)")
         if not (self.slope > 0.0):
             raise ValueError("slope must be positive")
+        floats_from_ints(self)
 
 
 def reward(obs: Observation, spec: RewardSpec) -> float:
@@ -96,6 +98,7 @@ class EpisodeConfig:
             raise ValueError("dt must be positive")
         if not (self.max_steps > 0):
             raise ValueError("max_steps must be positive")
+        floats_from_ints(self)
 
 
 class BumpEnv:

@@ -8,7 +8,6 @@ single-threaded so repeated runs produce byte-identical CSV output.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from array import array
 from dataclasses import astuple, dataclass, fields, replace
@@ -50,8 +49,6 @@ class TrainResult:
     episode_metrics: list
     episode_seeds: list
     agent: DdpgAgent
-    checkpoint_path: str | None = None
-    metrics_csv_path: str | None = None
 
 
 def write_csv(path: str, header, rows):
@@ -119,25 +116,6 @@ def run_episode(env, policy, seed, on_step=None):
     return metrics_from_trace(acc, vel, rews, env.reward_spec.x_dot_d), len(rews)
 
 
-def rollout(env, policy, seed=None, record=False):
-    """Run one greedy episode; returns (Metrics, rows).
-
-    With record, rows is one array("d") that holds each step's
-    TIMESERIES_CSV_HEADER values in header order, 9 raw doubles per step;
-    without it rows is None.
-    """
-    rows = array("d") if record else None
-
-    def record_row(obs, action, r, next_obs, done, info):
-        rows.extend((
-            info["t"], info["x"], info["x_dot"], info["u_x"], info["z"],
-            info["theta"], next_obs.z_ddot_meas, next_obs.p, r,
-        ))
-
-    m, _ = run_episode(env, policy, seed, record_row if record else None)
-    return m, rows
-
-
 def train(config: TrainConfig, env=None) -> TrainResult:
     """Seeded DDPG training loop over the configured environment.
 
@@ -154,7 +132,7 @@ def train(config: TrainConfig, env=None) -> TrainResult:
     out = config.out_dir
     if out is not None:
         os.makedirs(out, exist_ok=True)
-    checkpoint_path = os.path.join(out, "checkpoint.json") if out else None
+        checkpoint_path = os.path.join(out, "checkpoint.json")
 
     total_steps = 0
 
@@ -177,33 +155,40 @@ def train(config: TrainConfig, env=None) -> TrainResult:
             ep, steps, m.episode_return, m.peak_abs_acc_dev, m.rmse_acc_dev,
             m.rmse_vel_tracking, m.mean_velocity, agent.noise.variance,
         ])
-        if checkpoint_path and (ep + 1) % config.checkpoint_interval == 0:
+        if out is not None and (ep + 1) % config.checkpoint_interval == 0:
             agent.save(checkpoint_path)
 
-    metrics_csv_path = None
     if out is not None:
         agent.save(checkpoint_path)
-        metrics_csv_path = os.path.join(out, "train_metrics.csv")
-        write_csv(metrics_csv_path, EPISODE_CSV_HEADER, csv_rows)
-    return TrainResult(
-        episode_metrics=episode_metrics,
-        episode_seeds=ep_seeds,
-        agent=agent,
-        checkpoint_path=checkpoint_path,
-        metrics_csv_path=metrics_csv_path,
-    )
+        write_csv(os.path.join(out, "train_metrics.csv"), EPISODE_CSV_HEADER,
+                  csv_rows)
+    return TrainResult(episode_metrics=episode_metrics, episode_seeds=ep_seeds,
+                       agent=agent)
 
 
 def evaluate(policy, env, episodes: int = 1, base_seed: int = 12345,
              out_dir: str | None = None, tag: str = "eval"):
-    """Noise-free greedy rollouts; returns (aggregate Metrics, per-episode list)."""
+    """Noise-free greedy rollouts; returns (aggregate Metrics, per-episode list).
+
+    With out_dir, episode i's time series goes to <out_dir>/<tag>_episode_<i>.csv.
+    """
     per_episode = []
     width = len(TIMESERIES_CSV_HEADER)
+
+    def record(obs, action, r, next_obs, done, info):
+        rows.extend((
+            info["t"], info["x"], info["x_dot"], info["u_x"], info["z"],
+            info["theta"], next_obs.z_ddot_meas, next_obs.p, r,
+        ))
+
     for i in range(episodes):
-        record = out_dir is not None
-        m, rows = rollout(env, policy, seed=base_seed + i, record=record)
+        # The episode's TIMESERIES_CSV_HEADER values, 9 raw doubles per step;
+        # rebinding rows frees the previous episode's.
+        rows = array("d")
+        m, _ = run_episode(env, policy, base_seed + i,
+                           None if out_dir is None else record)
         per_episode.append(m)
-        if record:
+        if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             # A slice of an array("d") yields Python floats, which csv
             # writes as repr does.
@@ -212,7 +197,6 @@ def evaluate(policy, env, episodes: int = 1, base_seed: int = 12345,
                 TIMESERIES_CSV_HEADER,
                 (rows[k:k + width] for k in range(0, len(rows), width)),
             )
-        del rows  # before the next episode records its own
     return aggregate_metrics(per_episode), per_episode
 
 
@@ -251,7 +235,7 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
             episode=EpisodeConfig(track=track, max_steps=max_steps,
                                   initial_x_dot=v),
         )
-        m, _ = rollout(env, constant_policy(v))
+        m, _ = run_episode(env, constant_policy(v), None)
         rows.append((v, m))
     if out_path is not None:
         write_csv(out_path, ["velocity", *METRICS_CSV_HEADER],

@@ -15,9 +15,19 @@ Note: the printed parameter set (c = 77.6 N s/m against k = 19.6 N/m on a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 GRAVITY_NOMINAL = 9.8  # m/s^2, nominal IMU reading at rest
+
+
+def floats_from_ints(spec):
+    """Store each int in a float field of the frozen dataclass spec as a
+    float, so that no int reaches a run, an output or the wire; any other
+    value is left as it is. Called after the spec's own checks."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.type in ("float", float) and isinstance(v, int):
+            object.__setattr__(spec, f.name, float(v))
 
 
 class DynamicsError(Exception):
@@ -48,13 +58,11 @@ class VehicleParams:
     u_max: float = 2.0      # commanded velocity clamp, m/s
 
     def __post_init__(self):
-        for name in ("m", "inertia", "k1", "k2", "c1", "c2", "L1", "L2", "tau", "u_max"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, (int, float)) and v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"VehicleParams.{name} must be strictly positive, got {v}")
-            # An int would reach the clamped action, info["u_x"] and the
-            # protocol's action_spec as an int.
-            object.__setattr__(self, name, float(v))
+                raise ValueError(f"VehicleParams.{f.name} must be strictly positive, got {v}")
+        floats_from_ints(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bumpsim.cli import main as cli_main
-from bumpsim.ddpg import AgentConfig, DdpgAgent, Mlp
+from bumpsim.ddpg import AgentConfig, DdpgAgent, Mlp, replay_columns
 from bumpsim.env import (
     CONDITIONAL,
     FUNCTION_WEIGHTED,
@@ -29,7 +29,7 @@ from bumpsim.harness import (
     compare_rewards,
     constant_policy,
     count_acceleration_events,
-    rollout,
+    run_episode,
     single_bump_track,
     sweep_velocities,
     train,
@@ -229,7 +229,8 @@ def test_criterion_06_ddpg_mechanics():
     obs = Observation(1.0, GRAVITY_NOMINAL, 0.0)
     for _ in range(8):
         agent.store(obs, 1.0, -2.0, obs, True)
-    _, _, rewards, _, dones = agent.buffer.sample(4, np.random.default_rng(0))
+    _, _, rewards, _, dones = replay_columns(
+        agent.buffer.sample(4, np.random.default_rng(0)))
     y = rewards + agent.config.gamma * (1.0 - dones) * 123.0
     terminal_ok = np.array_equal(y, rewards) and np.all(dones == 1.0)
 
@@ -239,12 +240,12 @@ def test_criterion_06_ddpg_mechanics():
     buf = ReplayBuffer(4)
     for r in range(6):
         buf.push(np.zeros(3), 0.0, float(r), np.zeros(3), False)
-    kept = sorted(buf.rewards[: buf.size].tolist())
+    kept = sorted(replay_columns(buf.rows[: buf.size])[2].tolist())
     fifo_ok = kept == [2.0, 3.0, 4.0, 5.0]
     rng = np.random.default_rng(6)
     seen = set()
     for _ in range(200):
-        seen.update(buf.sample(4, rng)[2].tolist())
+        seen.update(replay_columns(buf.sample(4, rng))[2].tolist())
     uniform_ok = seen == {2.0, 3.0, 4.0, 5.0}
 
     ok = blend_ok and terminal_ok and fifo_ok and uniform_ok
@@ -318,7 +319,7 @@ def _holdout_env():
 @pytest.mark.slow
 def test_criterion_09_learned_policy_beats_constant_baseline():
     t0 = time.perf_counter()
-    base_m, _ = rollout(_holdout_env(), constant_policy(1.0), seed=0)
+    base_m, _ = run_episode(_holdout_env(), constant_policy(1.0), 0)
 
     passes = 0
     details = []
@@ -329,7 +330,7 @@ def test_criterion_09_learned_policy_beats_constant_baseline():
                                   track=LEARNING_TRACK_SPEC),
             agent=AgentConfig(reward_scale=0.002),
         ))
-        m, _ = rollout(_holdout_env(), result.agent.act, seed=0)
+        m, _ = run_episode(_holdout_env(), result.agent.act, 0)
         ratio = m.peak_abs_acc_dev / base_m.peak_abs_acc_dev
         good = ratio <= 0.80 and m.mean_velocity >= 0.5
         passes += good

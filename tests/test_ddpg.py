@@ -22,6 +22,7 @@ from bumpsim.ddpg import (
     Mlp,
     OUNoise,
     ReplayBuffer,
+    replay_columns,
 )
 from bumpsim.sensors import Observation
 
@@ -210,23 +211,23 @@ class TestSoftUpdate:
 
 class TestReplayBuffer:
     def test_fifo_eviction_keeps_last_capacity_items(self):
-        buf = ReplayBuffer(capacity=10, obs_dim=1)
+        buf = ReplayBuffer(capacity=10)
         for i in range(25):
-            buf.push([float(i)], 0.0, float(i), [0.0], False)
+            buf.push([float(i)] * 3, 0.0, float(i), [0.0] * 3, False)
         assert buf.size == 10
-        kept = sorted(buf.rewards.tolist())
+        kept = sorted(replay_columns(buf.rows)[2].tolist())
         assert kept == [float(i) for i in range(15, 25)]
 
     def test_sampling_is_uniform(self):
         capacity = 20
-        buf = ReplayBuffer(capacity=capacity, obs_dim=1)
+        buf = ReplayBuffer(capacity=capacity)
         for i in range(capacity):
-            buf.push([0.0], 0.0, float(i), [0.0], False)
+            buf.push([0.0] * 3, 0.0, float(i), [0.0] * 3, False)
         rng = np.random.default_rng(8)
         draws = 100_000
         counts = np.zeros(capacity)
         for _ in range(draws // capacity):
-            _, _, rewards, _, _ = buf.sample(capacity, rng)
+            _, _, rewards, _, _ = replay_columns(buf.sample(capacity, rng))
             for r in rewards:
                 counts[int(r)] += 1
         expected = draws / capacity
@@ -295,7 +296,8 @@ class TestUpdate:
         agent.store(obs, 1.0, -1.0, obs, True)
         # with done = 1 the bootstrap term vanishes: y = the stored reward
         # (rewards enter the buffer pre-multiplied by reward_scale)
-        o, a, r, no, d = agent.buffer.sample(1, np.random.default_rng(0))
+        o, a, r, no, d = replay_columns(
+            agent.buffer.sample(1, np.random.default_rng(0)))
         ny = agent.target_actor.forward(no)
         na = agent._squash(ny, 1.0)
         nq = agent.target_critic.forward(np.hstack([no, na]))[:, 0]
@@ -303,9 +305,49 @@ class TestUpdate:
         assert y[0] == -1.0 * agent.config.reward_scale
         assert r[0] == -1.0 * agent.config.reward_scale
 
-    def test_bootstrap_target_arithmetic(self):
-        # y = r + gamma * Q' for non-terminal: -1 + 0.99 * -2 = -2.98
-        assert -1.0 + 0.99 * (1.0 - 0.0) * -2.0 == pytest.approx(-2.98)
+    def test_critic_step_matches_finite_differences_of_the_td_loss(self, monkeypatch):
+        # The gradient that update hands the critic's Adam step is that of
+        # mean((Q(s, a) - y)^2), y = r + gamma (1 - done) Q'(s', mu'(s')),
+        # over the rows the same sample_rng state draws. The target nets are
+        # set away from the online ones and the batch mixes terminal and
+        # non-terminal rows, so a target built from an online net, without
+        # gamma or without done shows, as does a misread column.
+        gamma = 0.7
+        agent = DdpgAgent(AgentConfig(hidden_sizes=(3, 2), batch_size=8,
+                                      gamma=gamma), seed=0)
+        rng = np.random.default_rng(3)
+        for net in (agent.critic, agent.target_actor, agent.target_critic):
+            net.flat[...] = rng.uniform(-1.0, 1.0, net.flat.size)
+        for k in range(12):
+            agent.buffer.push(rng.uniform(-1.0, 1.0, 3), rng.uniform(),
+                              rng.uniform(-1.0, 0.0), rng.uniform(-1.0, 1.0, 3),
+                              k % 3 == 0)
+        rows = agent.buffer.sample(8, copy.deepcopy(agent.sample_rng))
+        # A row is obs (3) | action | reward | next_obs (3) | done.
+        sa, r, s2, done = rows[:, :4].copy(), rows[:, 4], rows[:, 5:8], rows[:, 8]
+        assert 0.0 < done.sum() < len(done)
+        a2 = (np.tanh(agent.target_actor.forward(s2)) + 1.0) / 2.0
+        q2 = agent.target_critic.forward(np.hstack([s2, a2]))[:, 0]
+        y = r + gamma * (1.0 - done) * q2
+
+        def loss():
+            return np.mean((agent.critic.forward(sa)[:, 0] - y) ** 2)
+
+        h = 1e-6
+        flat = agent.critic.flat
+        fd = np.empty_like(flat)
+        for i, orig in enumerate(flat.copy()):
+            flat[i] = orig + h
+            hi = loss()
+            flat[i] = orig - h
+            lo = loss()
+            flat[i] = orig
+            fd[i] = (hi - lo) / (2 * h)
+
+        grads = []
+        monkeypatch.setattr(agent.critic_opt, "step", grads.append)
+        agent.update()
+        np.testing.assert_allclose(grads[0], fd, rtol=1e-6, atol=1e-9)
 
     def test_update_returns_losses_and_changes_parameters(self):
         agent = filled_agent()

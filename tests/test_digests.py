@@ -59,3 +59,15 @@ def test_exit_code(digests, monkeypatch, capsys, head, allow, code):
     assert out.splitlines() == [f"{n} {d}" for n, d in sorted(head.items())]
     changed = [n for n in sorted(head) if head[n] != BASE[n]]
     assert err.splitlines()[:-1] == [f"differs: {n}" for n in changed]
+
+
+def test_bad_rev_fails_before_any_job(digests, monkeypatch, capsys):
+    def run_set(tree, work):
+        raise AssertionError("a job ran before the REV was archived")
+
+    monkeypatch.setattr(digests, "run_set", run_set)
+    assert digests.main(["--against", "no-such-rev^{tree}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("cannot archive no-such-rev^{tree}: ")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestReset:
         env = BumpEnv(episode=EpisodeConfig(track=TrackSpec(n_bumps=0),
                                             initial_x_dot=0.5))
         assert env.reset(seed=0) == Observation(x_dot=0.5, z_ddot_meas=9.8, p=0.0)
+
+    def test_integer_float_fields_run_as_floats(self):
+        env = BumpEnv(episode=EpisodeConfig(initial_x_dot=1, dt=1))
+        assert repr(env.reset(seed=0).x_dot) == "1.0"
+        assert repr(env.step(1.0)[3]["t"]) == "1.0"
+        assert repr(asdict(RewardSpec(x_dot_d=1))["x_dot_d"]) == "1.0"
+        # Only ints are converted: a string is not made a number.
+        assert RewardSpec(x_dot_d="1").x_dot_d == "1"
 
     def test_randomized_tracks_are_distinct_and_spaced(self):
         env = BumpEnv()

@@ -5,7 +5,6 @@ import io
 import math
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from bumpsim.harness import (
     episode_seed_sequence,
     evaluate,
     metrics_from_trace,
-    rollout,
     run_episode,
     single_bump_track,
     sweep_velocities,
@@ -85,9 +83,12 @@ class TestMetrics:
         assert agg.mean_velocity == pytest.approx(0.8)
         assert agg.episode_return == pytest.approx(-20.0)
 
-    def test_metrics_recompute_from_recorded_rows(self):
+    def test_metrics_recompute_from_recorded_rows(self, tmp_path):
         env = BumpEnv(episode=EpisodeConfig(max_steps=400))
-        m, rows = rollout(env, constant_policy(1.0), seed=7, record=True)
+        _, (m,) = evaluate(constant_policy(1.0), env, base_seed=7,
+                           out_dir=str(tmp_path))
+        lines = (tmp_path / "eval_episode_0.csv").read_text().splitlines()[1:]
+        rows = [float(v) for line in lines for v in line.split(",")]
         acc, vel, rew = rows[6::9], rows[2::9], rows[8::9]
         m2 = metrics_from_trace(acc, vel, rew, env.reward_spec.x_dot_d)
         for f in Metrics.__dataclass_fields__:
@@ -132,7 +133,7 @@ class TestSeeds:
 class TestRolloutBaselines:
     def test_flat_terrain_rides_smooth(self):
         env = BumpEnv(episode=EpisodeConfig(track=FLAT, max_steps=600))
-        m, _ = rollout(env, constant_policy(1.0), seed=0)
+        m, _ = run_episode(env, constant_policy(1.0), 0)
         assert m.peak_abs_acc_dev < 1e-9
         assert m.mean_velocity > 0.8
 
@@ -186,16 +187,16 @@ class TestTrain:
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         r1 = train(tiny_train_config(d1, seed=3))
         r2 = train(tiny_train_config(d2, seed=3))
-        csv1 = Path(r1.metrics_csv_path).read_bytes()
-        csv2 = Path(r2.metrics_csv_path).read_bytes()
+        csv1 = (d1 / "train_metrics.csv").read_bytes()
+        csv2 = (d2 / "train_metrics.csv").read_bytes()
         assert csv1 == csv2
         assert r1.episode_seeds == r2.episode_seeds
 
     def test_different_seeds_differ(self, tmp_path):
-        r1 = train(tiny_train_config(tmp_path / "a", seed=1))
-        r2 = train(tiny_train_config(tmp_path / "b", seed=2))
-        assert Path(r1.metrics_csv_path).read_bytes() != \
-            Path(r2.metrics_csv_path).read_bytes()
+        train(tiny_train_config(tmp_path / "a", seed=1))
+        train(tiny_train_config(tmp_path / "b", seed=2))
+        assert (tmp_path / "a" / "train_metrics.csv").read_bytes() != \
+            (tmp_path / "b" / "train_metrics.csv").read_bytes()
 
     def test_no_updates_before_warmup(self):
         cfg = tiny_train_config(
@@ -219,11 +220,10 @@ class TestTrain:
 
     def test_checkpoint_and_csv_written(self, tmp_path):
         r = train(tiny_train_config(tmp_path))
-        assert r.checkpoint_path and r.metrics_csv_path
-        reloaded = DdpgAgent.load(r.checkpoint_path)
+        reloaded = DdpgAgent.load(str(tmp_path / "checkpoint.json"))
         for got, want in zip(reloaded.actor.weights, r.agent.actor.weights):
             assert np.array_equal(got, want)
-        with open(r.metrics_csv_path) as f:
+        with open(tmp_path / "train_metrics.csv") as f:
             lines = f.read().splitlines()
         assert lines[0] == ",".join(EPISODE_CSV_HEADER)
         assert len(lines) == 1 + 3

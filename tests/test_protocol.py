@@ -10,7 +10,7 @@ import pytest
 
 from bumpsim import protocol
 from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
-from bumpsim.harness import constant_policy, rollout
+from bumpsim.harness import constant_policy, evaluate
 from bumpsim.protocol import (
     MAX_REQUEST_BYTES,
     PROTOCOL_VERSION,
@@ -60,6 +60,23 @@ class TestHandshake:
         try:
             with RemoteEnv(s.address) as env:
                 assert repr(env.action_spec["high"]) == "3.0"
+        finally:
+            s.shutdown()
+
+    def test_integer_x_dot_d_and_initial_x_dot_are_sent_as_floats(self):
+        s = EnvServer(lambda: BumpEnv(
+            reward_spec=RewardSpec(x_dot_d=1),
+            episode=EpisodeConfig(initial_x_dot=1))).start()
+        try:
+            # RemoteEnv rebuilds a RewardSpec, so read the ack as sent.
+            sock, reader = raw_session(s.address)
+            ack = send_line(sock, reader, json.dumps(
+                {"type": "hello", "version": PROTOCOL_VERSION}))
+            reader.close()
+            sock.close()
+            assert repr(ack["reward_spec"]["x_dot_d"]) == "1.0"
+            with RemoteEnv(s.address) as env:
+                assert repr(env.reset(seed=0).x_dot) == "1.0"
         finally:
             s.shutdown()
 
@@ -137,21 +154,24 @@ class TestLoopbackEquivalence:
                 i += 1
         remote.close()
 
-    def test_rollout_matches_in_process(self):
-        # A remote env used to have no reward spec, so rollout raised
+    def test_rollout_matches_in_process(self, tmp_path):
+        # A remote env used to have no reward spec, so an episode raised
         # AttributeError reading its desired velocity.
         def factory():
             return BumpEnv(reward_spec=RewardSpec(x_dot_d=0.7),
                            episode=EpisodeConfig(max_steps=300))
 
+        def recorded(env, seed, out):
+            m = evaluate(constant_policy(0.9), env, base_seed=seed,
+                         out_dir=str(out))
+            return m, (out / "eval_episode_0.csv").read_bytes()
+
         s = EnvServer(factory, port=0).start()
         try:
             with RemoteEnv(s.address) as remote:
                 for seed in (0, 1234):
-                    got = rollout(remote, constant_policy(0.9), seed=seed,
-                                  record=True)
-                    want = rollout(factory(), constant_policy(0.9), seed=seed,
-                                   record=True)
+                    got = recorded(remote, seed, tmp_path / f"remote{seed}")
+                    want = recorded(factory(), seed, tmp_path / f"local{seed}")
                     assert got == want
         finally:
             s.shutdown()

@@ -5,7 +5,9 @@
                                             # exit 1 naming each file that differs
     python tools/digests.py --against REV --allow resolved_config.json
 
-The set: `train` for seeds 0 and 7 (3 episodes, with updates), `eval` of the
+The set: `train` for seeds 0 and 7 (3 episodes, with updates, on 16x16 nets
+and batch 16), one `train` on the default 64x64 nets and batch 64 (2
+episodes, whose 1200 transitions wrap its 1000-row replay), `eval` of the
 seed-0 checkpoint, constant-velocity `eval` on dense 12-bump tracks (once
 at a command above `u_max`, so every step is clamped), on a flat track and
 on a fixed two-bump track, `sweep` on the default track and on
@@ -17,6 +19,7 @@ seed and a bad action. Since `--against` plays the working tree's session
 on both trees, it checks the track stream of one tree against the other's
 through the real server.
 
+A REV that git cannot archive ends the run before any job, with exit 1.
 An --allow NAME matches an output's full name or its file name. The digests
 depend on the libm and numpy build, so compare two trees on one machine; the
 package does not import this file.
@@ -55,12 +58,17 @@ TWO_BUMPS = {"terrain": {"track_length": 5.0,
                          "fixed_bumps": [{"H": 0.01, "mu": 2.0, "sigma": 0.05},
                                          {"H": 0.006, "mu": 2.6, "sigma": 0.03}]}}
 COMPARE = {**TRAIN, "train": {"episodes": 2, "checkpoint_interval": 1}}
+# The learner's default shapes, as criterion 9 and the benchmark run them.
+DEFAULT_NETS = {"agent": {"buffer_capacity": 1000, "warmup_steps": 100},
+                "episode": TRAIN["episode"],
+                "train": {"episodes": 2, "checkpoint_interval": 1}}
 
 # (output name, config document, command and flags); each run writes --out
 # <name>, in this order, from one working directory.
 JOBS = [
     ("train_seed0", TRAIN, ["train", "--seed", "0"]),
     ("train_seed7", TRAIN, ["train", "--seed", "7"]),
+    ("train_default_nets", DEFAULT_NETS, ["train", "--seed", "0"]),
     ("eval_checkpoint", TRAIN,
      ["eval", "--checkpoint", "train_seed0/checkpoint.json", "--episodes", "2"]),
     ("eval_dense", DENSE, ["eval", "--constant-velocity", "1.2", "--episodes", "3"]),
@@ -184,12 +192,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="digests-") as tmp:
         tmp = Path(tmp)
+        if args.against is not None:
+            try:
+                _archive(args.against, tmp / "base")
+            except subprocess.CalledProcessError as e:
+                why = e.stderr.decode(errors="replace").strip().splitlines()
+                print(f"cannot archive {args.against}: "
+                      f"{why[-1] if why else e}", file=sys.stderr)
+                return 1
         head = run_set(ROOT, tmp / "head")
         for name, digest in sorted(head.items()):
             print(name, digest)
         if args.against is None:
             return 0
-        _archive(args.against, tmp / "base")
         base = run_set(tmp / "base", tmp / "base_run")
     names = differing(base, head)
     for name in names:
