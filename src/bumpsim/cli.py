@@ -45,9 +45,10 @@ def cmd_train(args) -> int:
     if args.episodes is not None:
         resolved["train"]["episodes"] = args.episodes
     config = cfg.train_config(resolved, args.out)
-    DdpgAgent(config.agent)  # a MemoryError comes before --out exists
+    # Built once, before --out exists, so a MemoryError leaves no directory.
+    agent = DdpgAgent(config.agent, seed=config.seed)
     _echo_config(resolved, args.out)
-    train(config)
+    train(config, agent=agent)
     return 0
 
 

@@ -161,17 +161,18 @@ class BumpEnv:
         self._t += self.episode.dt
         obs = observe(self._state, z_ddot, self._terrain, self.camera, self.params)
         r = reward(obs, self.reward_spec)
+        x, x_dot, z, _, theta, _ = self._state  # cheaper than four field reads
         done = (
-            self._state.x >= self._terrain.track_length
+            x >= self._terrain.track_length
             or self._steps >= self.episode.max_steps
         )
         info = {
             "t": self._t,
-            "x": self._state.x,
-            "x_dot": self._state.x_dot,
+            "x": x,
+            "x_dot": x_dot,
             "u_x": u_x,
-            "z": self._state.z,
-            "theta": self._state.theta,
+            "z": z,
+            "theta": theta,
             "z_ddot_model": z_ddot,
             "p": obs.p,
         }

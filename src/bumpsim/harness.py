@@ -116,18 +116,21 @@ def run_episode(env, policy, seed, on_step=None):
     return metrics_from_trace(acc, vel, rews, env.reward_spec.x_dot_d), len(rews)
 
 
-def train(config: TrainConfig, env=None) -> TrainResult:
+def train(config: TrainConfig, env=None, agent=None) -> TrainResult:
     """Seeded DDPG training loop over the configured environment.
 
     An explicit env (e.g. a remote-protocol client) may be passed in; it must
-    honor the BumpEnv reset/step contract.
+    honor the BumpEnv reset/step contract. So may the agent, which train
+    trains in place; a fresh DdpgAgent(config.agent, seed=config.seed), the
+    one train builds without it, gives the same run.
     """
     if env is None:
         env = BumpEnv(
             params=config.params, camera=config.camera,
             reward_spec=config.reward_spec, episode=config.episode,
         )
-    agent = DdpgAgent(config.agent, seed=config.seed)
+    if agent is None:
+        agent = DdpgAgent(config.agent, seed=config.seed)
     ep_seeds = episode_seed_sequence(config.seed, config.episodes)
     out = config.out_dir
     if out is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .terrain import TerrainProfile
 from .vehicle import GRAVITY_NOMINAL, VehicleParams, VehicleState
@@ -34,8 +35,7 @@ class CameraSpec:
             raise ValueError(f"gain must be positive, got {self.gain}")
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Agent observation: velocity, measured vertical acceleration, preview."""
 
     x_dot: float
@@ -74,5 +74,5 @@ def observe(state: VehicleState, z_ddot: float, terrain: TerrainProfile,
     z_ddot is the model heave acceleration at `state`; the IMU reads it plus
     nominal gravity.
     """
-    return Observation(x_dot=state.x_dot, z_ddot_meas=z_ddot + GRAVITY_NOMINAL,
-                       p=preview(state, terrain, cam, params))
+    return Observation(state.x_dot, z_ddot + GRAVITY_NOMINAL,
+                       preview(state, terrain, cam, params))

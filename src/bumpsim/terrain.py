@@ -58,10 +58,10 @@ class TerrainProfile:
     bumps: tuple[Bump, ...] = ()
     track_length: float = 10.0
     max_bump_height: float = field(init=False, repr=False, compare=False)
-    # Per bump (mu, H, 2 sigma^2, sigma^2), fixed at construction. The
-    # variances stay divisors: multiplying by a stored reciprocal would round
-    # differently and move every result in its last bits.
-    _terms: tuple[tuple[float, float, float, float], ...] = field(
+    # Per bump (mu, H, -H, -2 sigma^2, sigma^2), fixed at construction; the
+    # negations fold road2's signs in exactly. The variances stay divisors: a
+    # stored reciprocal would round differently, in the last bits of a result.
+    _terms: tuple[tuple[float, float, float, float, float], ...] = field(
         init=False, repr=False, compare=False)
     # Per bump, where its term is exactly zero (see _zero_band).
     _zero_bands: tuple[tuple[float, float, float, float], ...] = field(
@@ -77,11 +77,12 @@ class TerrainProfile:
         object.__setattr__(self, "max_bump_height",
                            max((b.height for b in self.bumps), default=0.0))
         object.__setattr__(self, "_terms", tuple(
-            (b.center, b.height, 2.0 * b.spread * b.spread, b.spread * b.spread)
+            (b.center, b.height, -b.height, -2.0 * b.spread * b.spread,
+             b.spread * b.spread)
             for b in self.bumps
         ))
         object.__setattr__(self, "_zero_bands", tuple(
-            _zero_band(*t) for t in self._terms))
+            _zero_band(mu, h, -n2s2, s2) for mu, h, _, n2s2, s2 in self._terms))
 
     def wheels(self, a: float, b: float):
         """Road at both wheels over the window [a, b]: returns road2(x1, x2)
@@ -110,15 +111,15 @@ class TerrainProfile:
 
         def road2(x1, x2):
             g1 = g1_x = g2 = g2_x = 0.0
-            for mu, h, two_s2, s2 in terms:
+            for mu, h, nh, n2s2, s2 in terms:
                 d1 = x1 - mu
                 d2 = x2 - mu
-                e1 = exp(-d1 * d1 / two_s2)
-                e2 = exp(-d2 * d2 / two_s2)
+                e1 = exp(d1 * d1 / n2s2)
+                e2 = exp(d2 * d2 / n2s2)
                 g1 += h * e1
-                g1_x += -h * d1 / s2 * e1
+                g1_x += nh * d1 / s2 * e1
                 g2 += h * e2
-                g2_x += -h * d2 / s2 * e2
+                g2_x += nh * d2 / s2 * e2
             return g1, g1_x, g2, g2_x
 
         return road2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 GRAVITY_NOMINAL = 9.8  # m/s^2, nominal IMU reading at rest
 
@@ -65,8 +66,7 @@ class VehicleParams:
         floats_from_ints(self)
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     """Chassis state: longitudinal position/velocity, heave, pitch and rates."""
 
     x: float = 0.0
@@ -75,9 +75,6 @@ class VehicleState:
     z_dot: float = 0.0
     theta: float = 0.0
     theta_dot: float = 0.0
-
-    def as_tuple(self):
-        return (self.x, self.x_dot, self.z, self.z_dot, self.theta, self.theta_dot)
 
 
 def _accelerations(p: VehicleParams, road2):
@@ -92,13 +89,14 @@ def _accelerations(p: VehicleParams, road2):
     derivative are the state's own rates.
     """
     L1, L2, k1, k2, c1, c2 = p.L1, p.L2, p.k1, p.k2, p.c1, p.c2
-    m, inertia, tau = p.m, p.inertia, p.tau
+    inertia, tau = p.inertia, p.tau
+    neg_m = -p.m  # x / neg_m rounds as -x / m does: rounding is sign-symmetric
     sin, cos = math.sin, math.cos
-    half_pi = math.pi / 2
+    neg_half_pi, half_pi = -math.pi / 2, math.pi / 2
     flat = road2 is None
 
     def acc(x, x_dot, z, z_dot, theta, theta_dot, u_x):
-        if not (-half_pi < theta < half_pi):
+        if not (neg_half_pi < theta < half_pi):
             if not math.isfinite(theta):
                 raise NonFinite(f"non-finite pitch: {theta}")
             raise PitchOutOfRange(f"|theta| must stay below pi/2, got {theta}")
@@ -114,7 +112,7 @@ def _accelerations(p: VehicleParams, road2):
         # equilibrium) and their rates.
         f1 = k1 * ((z - L1 * s) - zh1) + c1 * ((z_dot - l1c * theta_dot) - g1 * x_dot)
         f2 = k2 * ((z + L2 * s) - zh2) + c2 * ((z_dot + l2c * theta_dot) - g2 * x_dot)
-        return (u_x - x_dot) / tau, -(f1 + f2) / m, c * (L1 * f1 - L2 * f2) / inertia
+        return (u_x - x_dot) / tau, (f1 + f2) / neg_m, c * (L1 * f1 - L2 * f2) / inertia
 
     return acc
 
@@ -138,7 +136,7 @@ def derivatives(state: VehicleState, u_x: float, params: VehicleParams,
     """
     x = state.x
     road2 = terrain.wheels(x - params.L2, x + params.L1)
-    return _rates(_accelerations(params, road2), state.as_tuple(), u_x)
+    return _rates(_accelerations(params, road2), state, u_x)
 
 
 def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
@@ -168,7 +166,7 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     h = dt / substeps
     hh = 0.5 * h
     h6 = h / 6.0
-    x, xd, z, zd, th, thd = state.as_tuple()
+    x, xd, z, zd, th, thd = state
     # One road window holds every wheel position of every stage. The
     # longitudinal equation x_ddot = (u_x - x_dot) / tau does not see the
     # road, and with h <= tau every stage velocity lies between x_dot and
@@ -210,7 +208,7 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     y = (x, xd, z, zd, th, thd)
     if not all(map(math.isfinite, y)):
         raise NonFinite(f"non-finite state after RK4 step: {y}")
-    return VehicleState(*y), _rates(acc, y, u_x)[3]
+    return VehicleState._make(y), _rates(acc, y, u_x)[3]
 
 
 def mechanical_energy(state: VehicleState, params: VehicleParams) -> float:

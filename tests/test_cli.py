@@ -378,6 +378,29 @@ class TestTrainCommand:
         assert runs["config"][0] == 5 and runs["zero"][0] == 0
         assert runs["config"][1] != runs["zero"][1]
 
+    def test_builds_one_agent_and_trains_it_as_train_would(
+            self, tiny_config, tmp_path, monkeypatch):
+        from bumpsim.harness import train
+        built = []
+        init = DdpgAgent.__init__
+
+        def counting_init(agent, *args, **kwargs):
+            built.append(agent)
+            init(agent, *args, **kwargs)
+
+        monkeypatch.setattr(DdpgAgent, "__init__", counting_init)
+        out = tmp_path / "cli"
+        assert main(["train", "--config", tiny_config, "--seed", "5",
+                     "--out", str(out)]) == 0
+        assert len(built) == 1
+        # The agent cmd_train hands over trains as the one train builds.
+        resolved = cfg.load(tiny_config)
+        resolved["train"]["seed"] = 5
+        train(cfg.train_config(resolved, str(tmp_path / "lib")))
+        for name in ("checkpoint.json", "train_metrics.csv"):
+            assert (out / name).read_bytes() == \
+                (tmp_path / "lib" / name).read_bytes()
+
     def test_repeated_runs_byte_identical(self, tiny_config, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -49,6 +49,20 @@ def finite_difference_grads(net, x, gout, h=1e-5):
     return fd
 
 
+def central_differences(flat, loss, h=1e-6):
+    """Central differences of loss() in each entry of the vector flat, which
+    loss reads in place."""
+    fd = np.empty_like(flat)
+    for i, orig in enumerate(flat.copy()):
+        flat[i] = orig + h
+        hi = loss()
+        flat[i] = orig - h
+        lo = loss()
+        flat[i] = orig
+        fd[i] = (hi - lo) / (2 * h)
+    return fd
+
+
 def assert_grads_close(analytic, numeric, rel=1e-4):
     for a, n in zip(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
@@ -260,6 +274,12 @@ class TestNoise:
         assert min(history) >= 0.01
         assert history == sorted(history, reverse=True)  # never increases
 
+    def test_zero_variance_sample_reverts_toward_zero(self):
+        noise = OUNoise(variance=0.0, decay=0.0, floor=0.0, mean_reversion=0.15)
+        noise.value = 1.0
+        assert noise.sample(np.random.default_rng(0)) == 1.0 - 0.15
+        assert noise.value == 1.0 - 0.15
+
     def test_zero_variance_explore_equals_act(self):
         agent = DdpgAgent(AgentConfig(), seed=2)
         agent.noise.variance = 0.0
@@ -333,20 +353,41 @@ class TestUpdate:
         def loss():
             return np.mean((agent.critic.forward(sa)[:, 0] - y) ** 2)
 
-        h = 1e-6
-        flat = agent.critic.flat
-        fd = np.empty_like(flat)
-        for i, orig in enumerate(flat.copy()):
-            flat[i] = orig + h
-            hi = loss()
-            flat[i] = orig - h
-            lo = loss()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2 * h)
-
+        fd = central_differences(agent.critic.flat, loss)
         grads = []
         monkeypatch.setattr(agent.critic_opt, "step", grads.append)
         agent.update()
+        np.testing.assert_allclose(grads[0], fd, rtol=1e-6, atol=1e-9)
+
+    def test_actor_step_matches_finite_differences_of_minus_q(self, monkeypatch):
+        # After the critic step, the gradient that update hands the actor's
+        # Adam step is that of -mean Q(s, mu(s)) under the stepped critic,
+        # over the same sampled rows, with mu(s) = (tanh(actor(s)) + 1) / 2.
+        # Random nets keep tanh' away from 1, so a chain without it shows,
+        # as does a step that ascends -Q.
+        agent = DdpgAgent(AgentConfig(hidden_sizes=(3, 2), batch_size=8), seed=0)
+        rng = np.random.default_rng(4)
+        for net in (agent.actor, agent.critic, agent.target_actor,
+                    agent.target_critic):
+            net.flat[...] = rng.uniform(-1.0, 1.0, net.flat.size)
+        for k in range(12):
+            agent.buffer.push(rng.uniform(-1.0, 1.0, 3), rng.uniform(),
+                              rng.uniform(-1.0, 0.0), rng.uniform(-1.0, 1.0, 3),
+                              k % 3 == 0)
+        s = agent.buffer.sample(8, copy.deepcopy(agent.sample_rng))[:, :3].copy()
+        grads = []
+        monkeypatch.setattr(agent.actor_opt, "step", grads.append)
+        critic_before = agent.critic.flat.copy()
+        agent.update()
+        assert not np.array_equal(agent.critic.flat, critic_before)
+        y = agent.actor.forward(s)
+        assert np.all(np.abs(np.tanh(y)) > 0.05)
+
+        def loss():
+            a = (np.tanh(agent.actor.forward(s)) + 1.0) / 2.0
+            return -np.mean(agent.critic.forward(np.hstack([s, a])))
+
+        fd = central_differences(agent.actor.flat, loss)
         np.testing.assert_allclose(grads[0], fd, rtol=1e-6, atol=1e-9)
 
     def test_update_returns_losses_and_changes_parameters(self):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bumpsim.ddpg import AgentConfig, DdpgAgent
+from bumpsim.ddpg import AgentConfig, DdpgAgent, replay_columns
 from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
 from bumpsim.harness import (
     EPISODE_CSV_HEADER,
@@ -29,7 +29,7 @@ from bumpsim.harness import (
     train,
     write_csv,
 )
-from bumpsim.terrain import FLAT, TrackSpec, random_track
+from bumpsim.terrain import FLAT, TerrainProfile, TrackSpec, random_track
 
 FAST_AGENT = AgentConfig(
     batch_size=16, buffer_capacity=2000, warmup_steps=20, hidden_sizes=(8, 8),
@@ -227,6 +227,28 @@ class TestTrain:
             lines = f.read().splitlines()
         assert lines[0] == ",".join(EPISODE_CSV_HEADER)
         assert len(lines) == 1 + 3
+
+    def test_stores_done_exactly_where_the_car_leaves_the_track(self):
+        # A 0.2 m track that even a car braking from 1 m/s (tau = 0.3 s)
+        # leaves in 40 steps, well before max_steps.
+        passed = []
+
+        class TrackEndEnv(BumpEnv):
+            def step(self, action):
+                out = super().step(action)
+                passed.append(out[3]["x"] >= self.terrain.track_length)
+                return out
+
+        episode = EpisodeConfig(max_steps=200, initial_x_dot=1.0,
+                                track=TerrainProfile(track_length=0.2))
+        cfg = tiny_train_config(episodes=2, episode=episode, agent=AgentConfig(
+            warmup_steps=10**6, hidden_sizes=(8, 8)))
+        result = train(cfg, env=TrackEndEnv(episode=episode))
+        buffer = result.agent.buffer
+        assert buffer.size == len(passed) < 2 * episode.max_steps
+        done = replay_columns(buffer.rows[:buffer.size])[4]
+        assert done.tolist() == [1.0 if p else 0.0 for p in passed]
+        assert sum(passed) == 2 and passed[-1]
 
     def test_rejects_nonpositive_episodes(self):
         with pytest.raises(ValueError):

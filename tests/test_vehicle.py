@@ -249,7 +249,7 @@ def outcome(call):
 def fused_step(y, u_x, p, terrain):
     """step_rk4 from state tuple y: the new state and its z_ddot, as a tuple."""
     state, z_ddot = step_rk4(VehicleState(*y), u_x, p, terrain, DT)
-    return state.as_tuple() + (z_ddot,)
+    return (*state, z_ddot)
 
 
 def ref_step(y, u_x, p, terrain):
@@ -386,13 +386,13 @@ class TestFusedPathBitExact:
     def test_step_rk4_matches_reference(self, params, dense_track):
         rng = np.random.default_rng(3)
         state = VehicleState(x_dot=0.5)
-        ref = state.as_tuple()
+        ref = tuple(state)
         pitch_seen = 0.0
         for _ in range(400):
             u = float(rng.uniform(0.0, 2.0))
             state, z_ddot = step_rk4(state, u, params, dense_track, DT)
             ref = ref_step_rk4(ref, u, params, dense_track, DT)
-            assert bits(state.as_tuple()) == bits(ref)
+            assert bits(state) == bits(ref)
             d = derivatives(state, u, params, dense_track)
             assert bits(d) == bits(
                 ref_derivatives(*ref, u, params, dense_track))
