@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
+import threading
 from dataclasses import astuple, replace
 
 from . import config as cfg
@@ -118,8 +120,18 @@ def cmd_serve(args) -> int:
     resolved = cfg.load(args.config)
     host, _, port = args.addr.partition(":")
     _env(resolved)  # a bad config fails here, not at the first client
-    serve(lambda: _env(resolved), host=host or "127.0.0.1",
-          port=int(port or 5890))
+    # SIGINT and SIGTERM both end in serve's KeyboardInterrupt shutdown and
+    # exit 0, even when SIGINT came in ignored, as a non-interactive shell's
+    # background job gets it. Only the main thread may set a handler.
+    stops = (signal.SIGINT, signal.SIGTERM)
+    previous = ([signal.signal(s, signal.default_int_handler) for s in stops]
+                if threading.current_thread() is threading.main_thread() else [])
+    try:
+        serve(lambda: _env(resolved), host=host or "127.0.0.1",
+              port=int(port or 5890))
+    finally:
+        for s, handler in zip(stops, previous):
+            signal.signal(s, handler)
     return 0
 
 

@@ -13,11 +13,13 @@ import json
 import math
 import os
 from dataclasses import asdict
+from functools import cached_property
 
 import numpy as np
 
 from .config import AgentConfig
 from .sensors import Observation
+from .terrain import TrackRng
 from .vehicle import GRAVITY_NOMINAL
 
 CHECKPOINT_VERSION = 1
@@ -54,7 +56,10 @@ class Mlp:
                     bound = 3e-3  # small final layer keeps initial outputs near zero
                 else:
                     bound = 1.0 / math.sqrt(n_in)
-                self.weights[i][...] = rng.uniform(-bound, bound, size=(n_in, n_out))
+                # Flat, then reshaped: a numpy Generator draws a matrix in
+                # this order too, and a TrackRng draws only flat lists.
+                self.weights[i][...] = np.reshape(
+                    rng.uniform(-bound, bound, size=n_in * n_out), (n_in, n_out))
                 self.biases[i][...] = rng.uniform(-bound, bound, size=n_out)
 
     def _bind(self):
@@ -242,11 +247,12 @@ class DdpgAgent:
 
     def __init__(self, config: AgentConfig = AgentConfig(), seed=0):
         self.config = config
-        ss = np.random.SeedSequence(seed)
-        init_ss, sample_ss, noise_ss = ss.spawn(3)
-        init_rng = np.random.default_rng(init_ss)
-        self.sample_rng = np.random.default_rng(sample_ss)
-        self.noise_rng = np.random.default_rng(noise_ss)
+        # The streams of SeedSequence(seed).spawn(3): child 0 draws the
+        # initial weights in the standard library, and children 1 and 2, the
+        # replay and noise Generators, are built on first use, so an agent
+        # that only acts never imports numpy.random.
+        init_rng = TrackRng(seed, spawn_key=(0,))
+        self._entropy = init_rng.entropy
         h = config.hidden_sizes
         self.actor = Mlp((3, *h, 1), rng=init_rng)
         self.critic = Mlp((4, *h, 1), rng=init_rng)
@@ -262,6 +268,20 @@ class DdpgAgent:
             mean_reversion=config.noise_mean_reversion,
         )
         self.episode_count = 0
+
+    def _spawned_rng(self, key: int):
+        from numpy.random import SeedSequence, default_rng
+        return default_rng(SeedSequence(self._entropy, spawn_key=(key,)))
+
+    @cached_property
+    def sample_rng(self):
+        """Replay sampling: the stream of SeedSequence(seed).spawn(3)[1]."""
+        return self._spawned_rng(1)
+
+    @cached_property
+    def noise_rng(self):
+        """Exploration noise: the stream of SeedSequence(seed).spawn(3)[2]."""
+        return self._spawned_rng(2)
 
     # -- observation/action scaling -------------------------------------
 

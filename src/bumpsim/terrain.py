@@ -191,26 +191,41 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 
 
+def _words(n) -> list:
+    """numpy's 32-bit words of a non-negative int, little-endian."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
 class TrackRng:
-    """The stream of numpy's default_rng(seed), bit for bit, in the standard
-    library, so that drawing a track does not load numpy.
+    """The stream of numpy's default_rng(SeedSequence(seed,
+    spawn_key=spawn_key)), bit for bit, in the standard library, so that
+    drawing a track or a network's initial weights does not load numpy.random.
+    Without a key that is default_rng(seed).
 
     Seeding is numpy's SeedSequence over an int seed (a pool of 4 32-bit
-    words) and its generate_state(4, uint64). The generator is PCG64, XSL-RR
-    128/64 (O'Neill 2014), and a double is a draw's top 53 bits times 2**-53.
-    Without a seed it seeds from 128 bits of os.urandom, as numpy does from
-    the OS. Invalid arguments raise numpy's exceptions, messages included.
+    words) and its generate_state(4, uint64). With a key, the seed's words
+    are zero-padded to the pool's 4 and the key's words follow. The generator
+    is PCG64, XSL-RR 128/64 (O'Neill 2014), and a double is a draw's top 53
+    bits times 2**-53. Without a seed it seeds from 128 bits of os.urandom, as
+    numpy does from the OS, and keeps them as `entropy`. Invalid arguments
+    raise numpy's exceptions, messages included.
     """
 
-    def __init__(self, seed=None):
+    def __init__(self, seed=None, spawn_key=()):
         if seed is None:
             seed = int.from_bytes(os.urandom(16), "little")
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected non-negative integer")
-        entropy = [seed & _MASK32]  # little-endian 32-bit words
-        while seed := seed >> 32:
-            entropy.append(seed & _MASK32)
+        self.entropy = operator.index(seed)
+        entropy = _words(self.entropy)
+        if spawn_key:
+            entropy += [0] * (4 - len(entropy))
+            for key in spawn_key:
+                entropy += _words(key)
         hash_const = _INIT_A
 
         def hashmix(value):

@@ -6,10 +6,12 @@ import json
 import math
 import operator
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -34,11 +36,16 @@ OUT_OF_MEMORY = [
 ]
 
 
+def python_env():
+    """The environment of a fresh python that imports this bumpsim."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(bumpsim.__file__).resolve().parent.parent)}
+
+
 def run_python(args, cwd):
     """Run python with args in a fresh process that imports this bumpsim."""
-    src = str(Path(bumpsim.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+                          text=True, timeout=60, env=python_env())
 
 
 @pytest.fixture
@@ -530,6 +537,31 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_acting_imports_no_rng_and_exploring_does(self, tmp_path):
+        # The initial weights come from the standard library's PCG64; the
+        # replay and noise Generators are built at their first use.
+        (tmp_path / "config.json").write_text(json.dumps(SHORT))
+        run = (
+            "import sys\n"
+            "from bumpsim import cli, config as cfg\n"
+            "from bumpsim.ddpg import DdpgAgent\n"
+            "from bumpsim.harness import evaluate\n"
+            "env = cli._env(cfg.load('config.json'))\n"
+            "agent = DdpgAgent(seed=3)\n"
+            "evaluate(agent.act, env, episodes=2, out_dir='eval', tag='policy')\n"
+            "agent.save('checkpoint.json')\n"
+            "obs = env.reset(seed=1)\n"
+            "DdpgAgent.load('checkpoint.json').act(obs)\n"
+            "assert cli.main(['eval', '--config', 'config.json', '--checkpoint',"
+            " 'checkpoint.json', '--out', 'cli_eval']) == 0\n"
+            "print('numpy.random' in sys.modules)\n"
+            "agent.explore(obs)\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        done = run_python(["-c", run], cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\nTrue\n"
+
     def test_package_names_load_on_first_use(self, tmp_path):
         run = (
             "import sys\n"
@@ -564,6 +596,38 @@ class TestServeCommand:
         assert done.stderr.startswith("bumpsim serve: ")
         assert done.stderr.count("\n") == 1 and "terrain.n_bumps" in done.stderr
 
+    @pytest.mark.parametrize("stop", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_signal_stops_it_cleanly_with_sigint_ignored(self, tiny_config, stop):
+        # A non-interactive shell starts a background job with SIGINT
+        # ignored. Such a server used to ignore SIGINT, and SIGTERM killed it
+        # (-15) without its shutdown.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        server = subprocess.Popen(
+            [sys.executable, "-m", "bumpsim.cli", "serve", "--config", tiny_config,
+             "--addr", f"127.0.0.1:{port}"],
+            env=python_env(), stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        try:
+            deadline = time.monotonic() + 30.0
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+                    break
+                except OSError:
+                    assert server.poll() is None and time.monotonic() < deadline, \
+                        "serve never bound its port"
+                    time.sleep(0.05)
+            server.send_signal(stop)
+            assert server.wait(timeout=5.0) == 0
+            assert server.stderr.read() == ""
+        finally:
+            server.kill()
+            server.wait()
+            server.stderr.close()
+
     def test_binds_and_answers_hello(self, tiny_config):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -581,8 +645,6 @@ class TestServeCommand:
                                                 timeout=0.2)
                 break
             except OSError:
-                import time
-
                 time.sleep(0.1)
         else:
             pytest.fail("serve never bound its port")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bumpsim import terrain
 from bumpsim.ddpg import (
     Adam,
     AgentConfig,
@@ -623,6 +624,62 @@ class TestCheckpoint:
         assert type(agent.noise.variance) is float and agent.noise.variance >= 0.0
         assert type(agent.noise.value) is float and math.isfinite(agent.noise.value)
         assert type(agent.episode_count) is int and agent.episode_count >= 0
+
+
+def numpy_initial_nets(seed, hidden_sizes):
+    """(actor.flat, critic.flat) as numpy drew them from spawn child 0: each
+    layer's weight matrix, then its biases, the actor before the critic."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+    flats = []
+    for sizes in ((3, *hidden_sizes, 1), (4, *hidden_sizes, 1)):
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        weights, biases = [], []
+        for i, (n_in, n_out) in enumerate(layers):
+            bound = 3e-3 if i == len(layers) - 1 else 1.0 / math.sqrt(n_in)
+            weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)).ravel())
+            biases.append(rng.uniform(-bound, bound, size=n_out))
+        flats.append(np.concatenate(weights + biases))
+    return flats
+
+
+SEEDS = [0, 7, 2**32 + 5, 2**64 + 5]
+
+
+class TestSeeding:
+    """An agent's streams are those of numpy's SeedSequence(seed).spawn(3)."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("hidden_sizes", [(64, 64), (16, 8, 4)])
+    def test_initial_nets_are_numpys_spawn_child_0(self, seed, hidden_sizes):
+        agent = DdpgAgent(AgentConfig(hidden_sizes=hidden_sizes), seed=seed)
+        actor, critic = numpy_initial_nets(seed, hidden_sizes)
+        assert agent.actor.flat.tobytes() == actor.tobytes()
+        assert agent.critic.flat.tobytes() == critic.tobytes()
+        assert agent.target_actor.flat.tobytes() == actor.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("clone", [
+        lambda agent: agent, copy.deepcopy, lambda agent: pickle.loads(pickle.dumps(agent)),
+    ], ids=["same", "deepcopy", "pickle"])
+    def test_learner_generators_are_spawn_children_1_and_2(self, seed, clone):
+        # The copies are taken before either Generator is built.
+        agent = clone(DdpgAgent(AgentConfig(hidden_sizes=(8,)), seed=seed))
+        _, sample, noise = np.random.SeedSequence(seed).spawn(3)
+        assert agent.sample_rng.integers(0, 1000, size=8).tolist() == \
+            np.random.default_rng(sample).integers(0, 1000, size=8).tolist()
+        assert agent.noise_rng.standard_normal(4).tolist() == \
+            np.random.default_rng(noise).standard_normal(4).tolist()
+
+    def test_unseeded_streams_share_one_entropy(self, monkeypatch):
+        monkeypatch.setattr(terrain.os, "urandom", lambda n: bytes(range(7, 7 + n)))
+        entropy = int.from_bytes(bytes(range(7, 23)), "little")
+        agent = DdpgAgent(AgentConfig(hidden_sizes=(8,)), seed=None)
+        assert agent.actor.flat.tobytes() == numpy_initial_nets(entropy, (8,))[0].tobytes()
+        _, sample, noise = np.random.SeedSequence(entropy).spawn(3)
+        assert agent.sample_rng.integers(0, 1000, size=8).tolist() == \
+            np.random.default_rng(sample).integers(0, 1000, size=8).tolist()
+        assert agent.noise_rng.standard_normal() == \
+            np.random.default_rng(noise).standard_normal()
 
 
 class TestPickle:

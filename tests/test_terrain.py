@@ -167,6 +167,21 @@ class TestTrackRng:
             raised(lambda: np.random.default_rng(-1)) == \
             (ValueError, "expected non-negative integer")
 
+    @pytest.mark.parametrize("seed", [5, 2**32 + 1, 2**64 + 5, 2**128 + 3],
+                             ids=["1 word", "2 words", "3 words", "5 words"])
+    @pytest.mark.parametrize("key", [(), (0,), (2,), (5, 9), (2**32 + 3, 1)])
+    def test_spawn_key_draws_numpys_seed_sequence(self, seed, key):
+        ours = TrackRng(seed, spawn_key=key)
+        numpy_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        assert [x.hex() for x in ours.uniform(-1.0, 1.0, size=9)] == \
+            [x.hex() for x in numpy_rng.uniform(-1.0, 1.0, size=9).tolist()]
+
+    @pytest.mark.parametrize("seed, key", [(-1, (0,)), (0, (-1,)), (3, (2, -5))])
+    def test_negative_seed_or_key_raises_as_numpy_does(self, seed, key):
+        assert raised(lambda: TrackRng(seed, spawn_key=key)) == \
+            raised(lambda: np.random.SeedSequence(seed, spawn_key=key)) == \
+            (ValueError, "expected non-negative integer")
+
     def test_unseeded_seeds_from_128_os_bits(self, monkeypatch):
         monkeypatch.setattr(terrain.os, "urandom", lambda n: bytes(range(1, n + 1)))
         seed = int.from_bytes(bytes(range(1, 17)), "little")

@@ -5,19 +5,20 @@
                                             # exit 1 naming each file that differs
     python tools/digests.py --against REV --allow resolved_config.json
 
-The set: `train` for seeds 0 and 7 (3 episodes, with updates, on 16x16 nets
-and batch 16), one `train` on the default 64x64 nets and batch 64 (2
-episodes, whose 1200 transitions wrap its 1000-row replay), `eval` of the
-seed-0 checkpoint, constant-velocity `eval` on dense 12-bump tracks (once
-at a command above `u_max`, so every step is clamped), on a flat track and
-on a fixed two-bump track, `sweep` on the default track and on
-the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
-session, whose response lines are the session's output. The session resets
-at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, and once
-without a seed, which continues the last seed's stream, then sends a bad
-seed and a bad action. Since `--against` plays the working tree's session
-on both trees, it checks the track stream of one tree against the other's
-through the real server.
+The set: `train` for seeds 0, 7 and the 2-word 4294967301 (3 episodes, with
+updates, on 16x16 nets and batch 16), one `train` on the default 64x64 nets
+and batch 64 (2 episodes, whose 1200 transitions wrap its 1000-row replay),
+`eval` of the seed-0 and the 2-word seed's checkpoints, constant-velocity
+`eval` on dense 12-bump tracks (once at a command above `u_max`, so every
+step is clamped), on a flat track and on a fixed two-bump track, `sweep` on
+the default track and on the fixed two-bump track, `compare --seeds 0,1`,
+and one loopback `serve` session, whose response lines are the session's
+output. The session resets at seeds 0 and 1, at the multi-word seeds
+2**32 + 1 and 2**64 + 5, and once without a seed, which continues the last
+seed's stream, then sends a bad seed and a bad action. Since `--against`
+runs the working tree's jobs and plays its session on both trees, it checks
+the track stream of one tree against the other's through the real server,
+and the 2-word seed's jobs check the networks' seeding through the CLI.
 
 A REV that git cannot archive ends the run before any job, with exit 1.
 An --allow NAME matches an output's full name or its file name. The digests
@@ -71,6 +72,10 @@ JOBS = [
     ("train_default_nets", DEFAULT_NETS, ["train", "--seed", "0"]),
     ("eval_checkpoint", TRAIN,
      ["eval", "--checkpoint", "train_seed0/checkpoint.json", "--episodes", "2"]),
+    # 2**32 + 5: the networks' seed pool is zero-padded before its spawn key.
+    ("train_seed_2words", TRAIN, ["train", "--seed", "4294967301"]),
+    ("eval_checkpoint_2words", TRAIN,
+     ["eval", "--checkpoint", "train_seed_2words/checkpoint.json"]),
     ("eval_dense", DENSE, ["eval", "--constant-velocity", "1.2", "--episodes", "3"]),
     ("eval_clamped", DENSE, ["eval", "--constant-velocity", "2.5", "--episodes", "2"]),
     ("eval_flat", FLAT, ["eval", "--constant-velocity", "0.7"]),
