@@ -1,6 +1,6 @@
 """Half-car bump-traversal simulator and velocity-policy learning toolkit.
 
-The simulator, `serve` and `RemoteEnv` need only the standard library; the
+The simulator, `EnvServer` and `RemoteEnv` need only the standard library; the
 learner (`ddpg`) and the experiment harness (`harness`) import numpy. Each
 name below is imported from its module on first use (PEP 562), so
 `import bumpsim` loads no numpy.

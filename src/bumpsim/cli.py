@@ -16,7 +16,7 @@ from dataclasses import astuple, replace
 
 from . import config as cfg
 from .env import BumpEnv
-from .protocol import serve
+from .protocol import EnvServer
 from .vehicle import DynamicsError
 
 
@@ -120,15 +120,15 @@ def cmd_serve(args) -> int:
     resolved = cfg.load(args.config)
     host, _, port = args.addr.partition(":")
     _env(resolved)  # a bad config fails here, not at the first client
-    # SIGINT and SIGTERM both end in serve's KeyboardInterrupt shutdown and
+    # SIGINT and SIGTERM both end serve_forever with a KeyboardInterrupt and
     # exit 0, even when SIGINT came in ignored, as a non-interactive shell's
     # background job gets it. Only the main thread may set a handler.
     stops = (signal.SIGINT, signal.SIGTERM)
     previous = ([signal.signal(s, signal.default_int_handler) for s in stops]
                 if threading.current_thread() is threading.main_thread() else [])
     try:
-        serve(lambda: _env(resolved), host=host or "127.0.0.1",
-              port=int(port or 5890))
+        EnvServer(lambda: _env(resolved), host=host or "127.0.0.1",
+                  port=int(port or 5890)).serve_forever()
     finally:
         for s, handler in zip(stops, previous):
             signal.signal(s, handler)

@@ -110,6 +110,10 @@ class TrainConfig:
                 f"agent.warmup_steps + 1 ({self.agent.warmup_steps + 1}) must be "
                 f">= agent.batch_size ({self.agent.batch_size})"
             )
+        # The agent scales x_dot and its action by u_max; the env clamps to it.
+        if self.agent.u_max != self.params.u_max:
+            raise ValueError(f"agent.u_max ({self.agent.u_max}) must equal "
+                             f"vehicle.u_max ({self.params.u_max})")
 
 
 _BUMPS = "bumps"  # type of terrain.fixed_bumps: null or [{"H", "mu", "sigma"}]

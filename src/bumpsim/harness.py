@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .ddpg import DdpgAgent
-from .env import BumpEnv, EpisodeConfig, RewardSpec
+from .env import REWARD_VARIANTS, BumpEnv, EpisodeConfig, RewardSpec
 from .sensors import CameraSpec
 from .terrain import DEFAULT_BUMP_HEIGHT, Bump, TerrainProfile
 from .vehicle import GRAVITY_NOMINAL, VehicleParams
@@ -116,6 +116,13 @@ def run_episode(env, policy, seed, on_step=None):
     return metrics_from_trace(acc, vel, rews, env.reward_spec.x_dot_d), len(rews)
 
 
+def _env(config: TrainConfig, **episode) -> BumpEnv:
+    """The config's environment, with episode's fields replaced."""
+    return BumpEnv(params=config.params, camera=config.camera,
+                   reward_spec=config.reward_spec,
+                   episode=replace(config.episode, **episode))
+
+
 def train(config: TrainConfig, env=None, agent=None) -> TrainResult:
     """Seeded DDPG training loop over the configured environment.
 
@@ -125,10 +132,7 @@ def train(config: TrainConfig, env=None, agent=None) -> TrainResult:
     one train builds without it, gives the same run.
     """
     if env is None:
-        env = BumpEnv(
-            params=config.params, camera=config.camera,
-            reward_spec=config.reward_spec, episode=config.episode,
-        )
+        env = _env(config)
     if agent is None:
         agent = DdpgAgent(config.agent, seed=config.seed)
     ep_seeds = episode_seed_sequence(config.seed, config.episodes)
@@ -158,11 +162,11 @@ def train(config: TrainConfig, env=None, agent=None) -> TrainResult:
             ep, steps, m.episode_return, m.peak_abs_acc_dev, m.rmse_acc_dev,
             m.rmse_vel_tracking, m.mean_velocity, agent.noise.variance,
         ])
-        if out is not None and (ep + 1) % config.checkpoint_interval == 0:
+        if out is not None and ((ep + 1) % config.checkpoint_interval == 0
+                                or ep + 1 == len(ep_seeds)):
             agent.save(checkpoint_path)
 
     if out is not None:
-        agent.save(checkpoint_path)
         write_csv(os.path.join(out, "train_metrics.csv"), EPISODE_CSV_HEADER,
                   csv_rows)
     return TrainResult(episode_metrics=episode_metrics, episode_seeds=ep_seeds,
@@ -258,8 +262,6 @@ def compare_rewards(base: TrainConfig, seeds,
     (episode-seed sequence per run; identical across variants by construction
     and asserted here).
     """
-    from .env import REWARD_VARIANTS
-
     if holdout_track is None:
         holdout_track = single_bump_track()
     rows = []
@@ -274,12 +276,7 @@ def compare_rewards(base: TrainConfig, seeds,
             )
             result = train(cfg)
             seed_audit[(variant, seed)] = result.episode_seeds
-            eval_env = BumpEnv(
-                params=cfg.params, camera=cfg.camera,
-                reward_spec=cfg.reward_spec,
-                episode=replace(cfg.episode, track=holdout_track),
-            )
-            m, _ = evaluate(result.agent.act, eval_env)
+            m, _ = evaluate(result.agent.act, _env(cfg, track=holdout_track))
             rows.append((variant, seed, m))
             del result  # its agent and replay buffer, before the next train
     for seed in seeds:

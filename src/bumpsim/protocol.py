@@ -20,7 +20,7 @@ from .sensors import Observation
 from .vehicle import DynamicsError
 
 PROTOCOL_VERSION = 2
-OBS_SPEC = ["x_dot", "z_ddot_meas", "p"]
+OBS_SPEC = list(Observation._fields)
 # Longest request line the server reads, newline included. The longest valid
 # request is a step of well under 100 bytes; a longer line ends the session
 # rather than growing the server's read buffer without bound.
@@ -63,9 +63,8 @@ def _error(code: str, message: str) -> dict:
 
 def _state(obs: Observation, reward, done: bool, info: dict) -> dict:
     """The response to a reset (reward None) or a step."""
-    return {"type": "state",
-            "obs": {"x_dot": obs.x_dot, "z_ddot_meas": obs.z_ddot_meas, "p": obs.p},
-            "reward": reward, "done": done, "info": info}
+    return {"type": "state", "obs": obs._asdict(), "reward": reward,
+            "done": done, "info": info}
 
 
 def _env_error(e: Exception) -> dict:
@@ -97,24 +96,29 @@ class EnvServer:
         return self._sock.getsockname()
 
     def serve_forever(self):
-        """Accept loop: one sequential session after another until shutdown."""
+        """Accept loop: one sequential session after another until shutdown
+        or a KeyboardInterrupt; either way it closes the listening socket."""
         self._sock.settimeout(0.2)
-        while not self._shutdown.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with conn:
-                conn.settimeout(IDLE_TIMEOUT_S)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._active_conn = conn
+        try:
+            while not self._shutdown.is_set():
                 try:
-                    self._handle_session(conn)
-                finally:
-                    self._active_conn = None
-        self._sock.close()
+                    conn, _ = self._sock.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    break
+                with conn:
+                    conn.settimeout(IDLE_TIMEOUT_S)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    self._active_conn = conn
+                    try:
+                        self._handle_session(conn)
+                    finally:
+                        self._active_conn = None
+        except KeyboardInterrupt:
+            pass
+        finally:
+            self._sock.close()
 
     def start(self):
         """Run the accept loop on a background thread (for tests/embedding)."""
@@ -246,12 +250,6 @@ class RemoteEnv:
             raise ConnectionLost("server closed the connection")
         return json.loads(raw)
 
-    @staticmethod
-    def _obs(doc: dict) -> Observation:
-        return Observation(
-            x_dot=doc["x_dot"], z_ddot_meas=doc["z_ddot_meas"], p=doc["p"]
-        )
-
     def reset(self, seed=None) -> Observation:
         msg = {"type": "reset"}
         if seed is not None:
@@ -259,13 +257,13 @@ class RemoteEnv:
         resp = self._request(msg)
         if resp["type"] == "error":
             raise RemoteEnvError(resp["code"], resp["message"])
-        return self._obs(resp["obs"])
+        return Observation(**resp["obs"])
 
     def step(self, action: float):
         resp = self._request({"type": "step", "u_x": float(action)})
         if resp["type"] == "error":
             raise RemoteEnvError(resp["code"], resp["message"])
-        return self._obs(resp["obs"]), resp["reward"], resp["done"], resp["info"]
+        return Observation(**resp["obs"]), resp["reward"], resp["done"], resp["info"]
 
     def close(self):
         try:
@@ -280,14 +278,3 @@ class RemoteEnv:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def serve(env_factory, host: str, port: int):
-    """Blocking entry point: bind and serve until interrupted."""
-    server = EnvServer(env_factory, host=host, port=port)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()

@@ -601,13 +601,15 @@ class TestServeCommand:
     def test_signal_stops_it_cleanly_with_sigint_ignored(self, tiny_config, stop):
         # A non-interactive shell starts a background job with SIGINT
         # ignored. Such a server used to ignore SIGINT, and SIGTERM killed it
-        # (-15) without its shutdown.
+        # (-15) without its shutdown. Either signal used to leave the
+        # listening socket unclosed.
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
         server = subprocess.Popen(
-            [sys.executable, "-m", "bumpsim.cli", "serve", "--config", tiny_config,
-             "--addr", f"127.0.0.1:{port}"],
+            # -X dev reports a socket left unclosed on stderr.
+            [sys.executable, "-X", "dev", "-m", "bumpsim.cli", "serve",
+             "--config", tiny_config, "--addr", f"127.0.0.1:{port}"],
             env=python_env(), stderr=subprocess.PIPE, text=True,
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
         try:

@@ -30,6 +30,7 @@ from bumpsim.harness import (
     write_csv,
 )
 from bumpsim.terrain import FLAT, TerrainProfile, TrackSpec, random_track
+from bumpsim.vehicle import VehicleParams
 
 FAST_AGENT = AgentConfig(
     batch_size=16, buffer_capacity=2000, warmup_steps=20, hidden_sizes=(8, 8),
@@ -228,6 +229,24 @@ class TestTrain:
         assert lines[0] == ",".join(EPISODE_CSV_HEADER)
         assert len(lines) == 1 + 3
 
+    @pytest.mark.parametrize("episodes, interval, saved_after",
+                             [(2, 1, [1, 2]), (3, 2, [2, 3])],
+                             ids=["2_episodes_every_1", "3_episodes_every_2"])
+    def test_checkpoint_written_once_per_due_episode(
+            self, tmp_path, monkeypatch, episodes, interval, saved_after):
+        # The last episode, when a multiple of the interval, used to save twice.
+        saves = []
+        save = DdpgAgent.save
+
+        def counting_save(agent, path):
+            saves.append(agent.episode_count)
+            save(agent, path)
+
+        monkeypatch.setattr(DdpgAgent, "save", counting_save)
+        train(tiny_train_config(tmp_path, episodes=episodes,
+                                checkpoint_interval=interval))
+        assert saves == saved_after
+
     def test_stores_done_exactly_where_the_car_leaves_the_track(self):
         # A 0.2 m track that even a car braking from 1 m/s (tau = 0.3 s)
         # leaves in 40 steps, well before max_steps.
@@ -259,6 +278,13 @@ class TestTrain:
         TrainConfig(agent=AgentConfig(batch_size=16, warmup_steps=15))
         with pytest.raises(ValueError, match="warmup_steps"):
             TrainConfig(agent=AgentConfig(batch_size=16, warmup_steps=14))
+
+    def test_rejects_agent_u_max_other_than_the_cars(self):
+        # The agent would scale x_dot by 2.0 and never command above it.
+        match = r"agent.u_max \(2.0\) must equal vehicle.u_max \(3.0\)"
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(params=VehicleParams(u_max=3.0))
+        TrainConfig(params=VehicleParams(u_max=3.0), agent=AgentConfig(u_max=3.0))
 
 
 class TestEvaluate:

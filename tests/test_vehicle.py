@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +94,67 @@ class TestDerivatives:
         for z, z_dot in [(0.0, 0.0), (0.01, -0.1), (-0.005, 0.2)]:
             d = derivatives(VehicleState(z=z, z_dot=z_dot), 0.0, params, UniformRoad())
             assert d[5] == 0.0  # theta_ddot
+
+
+# No two arms, springs or dampers alike: the default car's symmetry hides a
+# swapped pair of them.
+ASYMMETRIC = VehicleParams(L1=0.10, L2=0.15, k1=22.0, k2=17.0, c1=70.0, c2=85.0)
+
+
+class TestAsymmetricCar:
+    def test_linear_modes_match_the_strain_energy(self):
+        # At rest on a flat road, (z_ddot, theta_ddot) = -M^-1 (K q + C q_dot)
+        # for q = (z, theta), M = diag(m, inertia). K is the Hessian of the
+        # strain energy, and C that of the same energy with the dampers'
+        # constants in place of the springs'.
+        p = ASYMMETRIC
+
+        def hessian(params, h=1e-4):
+            def energy(z, theta):
+                return mechanical_energy(VehicleState(z=z, theta=theta), params)
+
+            return np.array([[
+                (energy(*(h * (e_i + e_j))) - energy(*(h * (e_i - e_j)))
+                 - energy(*(h * (e_j - e_i))) + energy(*(-h * (e_i + e_j))))
+                / (4 * h * h) for e_j in np.eye(2)] for e_i in np.eye(2)])
+
+        def jacobian(fields, h=1e-6):
+            columns = []
+            for name in fields:
+                up = derivatives(VehicleState(**{name: h}), 0.0, p, FLAT)
+                down = derivatives(VehicleState(**{name: -h}), 0.0, p, FLAT)
+                columns.append([(up[i] - down[i]) / (2 * h) for i in (3, 5)])
+            return np.array(columns).T
+
+        m_inv = np.diag([1 / p.m, 1 / p.inertia])
+        stiffness = hessian(p)
+        damping = hessian(replace(p, k1=p.c1, k2=p.c2))
+        np.testing.assert_allclose(jacobian(("z", "theta")), -m_inv @ stiffness,
+                                   rtol=1e-6)
+        np.testing.assert_allclose(jacobian(("z_dot", "theta_dot")),
+                                   -m_inv @ damping, rtol=1e-6)
+
+    def test_rear_wheel_reads_the_road_under_it(self):
+        # One narrow bump under the rear wheel only, the car pitched: the
+        # front wheel's road is flat.
+        p = ASYMMETRIC
+        state = VehicleState(x=5.0, x_dot=1.2, z=0.001, z_dot=0.02,
+                             theta=0.05, theta_dot=-0.3)
+        s, c = math.sin(state.theta), math.cos(state.theta)
+        x2 = state.x - p.L2 * c
+        bump = Bump(height=0.01, center=x2 - 0.01, spread=0.02)
+        e = math.exp(-((x2 - bump.center) / bump.spread) ** 2 / 2)
+        g2 = bump.height * e
+        g2_x = -bump.height * (x2 - bump.center) / bump.spread**2 * e
+        f1 = p.k1 * (state.z - p.L1 * s) \
+            + p.c1 * (state.z_dot - p.L1 * c * state.theta_dot)
+        f2 = p.k2 * (state.z + p.L2 * s - g2) \
+            + p.c2 * (state.z_dot + p.L2 * c * state.theta_dot - g2_x * state.x_dot)
+        terrain = TerrainProfile(bumps=(bump,), track_length=10.0)
+        got = derivatives(state, 1.0, p, terrain)
+        assert got == pytest.approx(
+            (1.2, (1.0 - 1.2) / p.tau, 0.02, -(f1 + f2) / p.m, -0.3,
+             c * (p.L1 * f1 - p.L2 * f2) / p.inertia), rel=1e-12)
 
 
 class TestStepRk4:

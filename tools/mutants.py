@@ -16,8 +16,10 @@ outcome stops the run with pytest's output.
 The update mutants break the DDPG learner's mathematics (Lillicrap et al.,
 arXiv 1509.02971). The fold mutants reassociate the expressions whose signs
 are folded into constants: each rounds differently, so the bit-exact
-reference tests must catch it. The whole list took about 4 minutes on a
-2-core host; the package does not import this file.
+reference tests must catch it. The half-car mutants swap a front and a rear
+quantity, which only a car with unequal arms, springs and dampers can show.
+The whole list took about 5 minutes on a 2-core host; the package does not
+import this file.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ MUTANTS = {
         TERRAIN, "e1 = exp(d1 * d1 / n2s2)", "e1 = exp(d1 / n2s2 * d1)"),
     "heave_by_reciprocal": (
         VEHICLE, "(f1 + f2) / neg_m", "(f1 + f2) * (1.0 / neg_m)"),
+    "pitch_arms_swapped": (
+        VEHICLE, "c * (L1 * f1 - L2 * f2)", "c * (L2 * f1 - L1 * f2)"),
+    "front_damper_uses_c2": (
+        VEHICLE, "c1 * ((z_dot - l1c * theta_dot)", "c2 * ((z_dot - l1c * theta_dot)"),
+    "rear_spring_uses_k1": (
+        VEHICLE, "f2 = k2 * (", "f2 = k1 * ("),
+    "rear_wheel_at_front_arm": (
+        VEHICLE, "road2(x + l1c, x - l2c)", "road2(x + l1c, x - l1c)"),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
