@@ -24,11 +24,6 @@ from .vehicle import DynamicsError
 MAX_SWEEP_SPEEDS = 10_000
 
 
-def _echo_config(resolved: dict, out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.echo(resolved, os.path.join(out_dir, "resolved_config.json"))
-
-
 def _env(resolved: dict) -> BumpEnv:
     return BumpEnv(
         params=cfg.vehicle_params(resolved),
@@ -49,7 +44,7 @@ def cmd_train(args) -> int:
     config = cfg.train_config(resolved, args.out)
     # Built once, before --out exists, so a MemoryError leaves no directory.
     agent = DdpgAgent(config.agent, seed=config.seed)
-    _echo_config(resolved, args.out)
+    cfg.echo(resolved, args.out)
     train(config, agent=agent)
     return 0
 
@@ -73,7 +68,7 @@ def cmd_eval(args) -> int:
     else:
         policy = constant_policy(args.constant_velocity)
         tag = "open_loop"
-    _echo_config(resolved, args.out)
+    cfg.echo(resolved, args.out)
     metrics, _ = evaluate(policy, env, episodes=args.episodes,
                           out_dir=args.out, tag=tag)
     write_csv(os.path.join(args.out, "eval_metrics.csv"), METRICS_CSV_HEADER,
@@ -85,15 +80,17 @@ def cmd_sweep(args) -> int:
     from .harness import sweep_velocities
     if not (0.0 < args.min <= args.max < math.inf and 0.0 < args.step < math.inf):
         raise ValueError("need 0 < --min <= --max and 0 < --step, all finite")
-    intervals = (args.max - args.min) / args.step  # round(intervals) + 1 speeds
-    if intervals >= MAX_SWEEP_SPEEDS - 0.5:  # an overflow to inf, too
+    # floor(intervals) + 1 speeds, with a slack for a ratio that rounds just
+    # under a whole number: (0.7 - 0.1) / 0.2 is 2.9999999999999996.
+    intervals = (args.max - args.min) / args.step + 1e-9
+    if intervals >= MAX_SWEEP_SPEEDS:  # an overflow to inf, too
         raise ValueError(f"--min, --max and --step give over {MAX_SWEEP_SPEEDS} speeds")
-    velocities = [args.min + i * args.step for i in range(round(intervals) + 1)]
+    velocities = [args.min + i * args.step for i in range(math.floor(intervals) + 1)]
     resolved = cfg.load(args.config)
     params, camera = cfg.vehicle_params(resolved), cfg.camera_spec(resolved)
     reward_spec = cfg.reward_spec(resolved)
     track = cfg.fixed_track(resolved)
-    _echo_config(resolved, args.out)
+    cfg.echo(resolved, args.out)
     sweep_velocities(
         velocities, params=params, camera=camera,
         reward_spec=reward_spec, track=track,
@@ -111,7 +108,7 @@ def cmd_compare(args) -> int:
     for seed in seeds:  # TrainConfig checks each seed before --out exists
         replace(base, seed=seed)
     DdpgAgent(base.agent)  # and so does a MemoryError
-    _echo_config(resolved, args.out)
+    cfg.echo(resolved, args.out)
     compare_rewards(base, seeds, out_dir=args.out)
     return 0
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -151,10 +152,10 @@ DEFAULTS = {
 _TYPE_NAMES = {float: "finite number", int: "integer", bool: "boolean", str: "string"}
 
 
-def _is(value, t) -> bool:
-    """A float key takes any JSON number, an int key only integers; a boolean
-    is neither. Python's json also reads NaN, Infinity and integers of any
-    size: a number must have a finite float value."""
+def has_type(value, t) -> bool:
+    """Whether a JSON value is of type t: a float is any number, an int only
+    an integer, a boolean neither. Python's json also reads NaN, Infinity and
+    integers of any size: a number must have a finite float value."""
     if isinstance(value, bool):
         return t is bool
     if isinstance(value, (int, float)):
@@ -172,7 +173,7 @@ def _check(where: str, value, t):
     if t is _BUMPS:
         if value is None or isinstance(value, list) and all(
             isinstance(b, dict) and b.keys() == {"H", "mu", "sigma"}
-            and all(_is(v, float) for v in b.values())
+            and all(has_type(v, float) for v in b.values())
             for b in value
         ):
             return None if value is None else [
@@ -180,14 +181,14 @@ def _check(where: str, value, t):
         expected = 'null or list of {"H", "mu", "sigma"} objects of finite numbers'
     elif get_origin(t) is tuple:
         elem, *rest = get_args(t)
-        ok = isinstance(value, list) and all(_is(v, elem) for v in value)
+        ok = isinstance(value, list) and all(has_type(v, elem) for v in value)
         expected = f"list of {_TYPE_NAMES[elem]}s"
         if rest != [Ellipsis]:  # fixed length, as the *_range pairs
             ok = ok and len(value) == 1 + len(rest)
             expected = f"list of {1 + len(rest)} {_TYPE_NAMES[elem]}s"
         if ok:
             return [elem(v) for v in value]
-    elif _is(value, t):
+    elif has_type(value, t):
         return t(value)
     else:
         expected = _TYPE_NAMES[t]
@@ -229,9 +230,11 @@ def load(path: str) -> dict:
     return resolve(doc)
 
 
-def echo(resolved: dict, path: str):
-    """Write the fully resolved config so the run is reproducible from it."""
-    with open(path, "w") as f:
+def echo(resolved: dict, out_dir: str):
+    """Write the fully resolved config to out_dir/resolved_config.json, making
+    out_dir, so the run is reproducible from it."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
         json.dump(resolved, f, indent=2)
         f.write("\n")
 

@@ -218,9 +218,9 @@ def _write_json(f, v):
     json.dump goes through the pure-Python encoder: for a 64x64 agent it
     takes about twice as long. json.dumps uses the C encoder, but it holds
     the chunks of the whole document at once, which for that agent adds
-    about 4 MB to peak RSS. Splitting dicts, matrices and lists of lists or
-    arrays, and handing the C encoder one row at a time, keeps its speed;
-    only that row is ever held as Python floats.
+    about 4 MB to peak RSS. Splitting dicts, lists and matrices, and handing
+    the C encoder one row at a time, keeps its speed; only that row is ever
+    held as Python floats.
     """
     if isinstance(v, dict):
         f.write("{")
@@ -228,18 +228,15 @@ def _write_json(f, v):
             f.write((", " if i else "") + json.dumps(k) + ": ")
             _write_json(f, x)
         f.write("}")
-    elif (isinstance(v, np.ndarray) and v.ndim == 2
-          or isinstance(v, list) and v and isinstance(v[0], (list, np.ndarray))):
+    elif isinstance(v, list) or isinstance(v, np.ndarray) and v.ndim == 2:
         f.write("[")
         for i, x in enumerate(v):
             if i:
                 f.write(", ")
             _write_json(f, x)
         f.write("]")
-    elif isinstance(v, np.ndarray):
-        f.write(json.dumps(v.tolist()))
     else:
-        f.write(json.dumps(v))
+        f.write(json.dumps(v, default=np.ndarray.tolist))
 
 
 class DdpgAgent:

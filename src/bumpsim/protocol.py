@@ -10,11 +10,12 @@ doubles exactly, so a loopback client is bit-identical to the in-process env.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import socket
 import threading
 from dataclasses import asdict
 
+from .config import has_type
 from .env import EnvNotReset, RewardSpec
 from .sensors import Observation
 from .vehicle import DynamicsError
@@ -196,12 +197,7 @@ class EnvServer:
             return _state(obs, None, False, {}), False
         if kind == "step":
             u_x = msg.get("u_x")
-            try:
-                finite = isinstance(u_x, (int, float)) and not isinstance(u_x, bool) \
-                    and math.isfinite(u_x)
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
+            if not has_type(u_x, float):
                 return _error("BAD_REQUEST", "u_x must be a finite number"), False
             try:
                 obs, r, done, info = env.step(float(u_x))
@@ -252,8 +248,8 @@ class RemoteEnv:
 
     def reset(self, seed=None) -> Observation:
         msg = {"type": "reset"}
-        if seed is not None:
-            msg["seed"] = int(seed)
+        if seed is not None:  # an int, as BumpEnv.reset takes, or a TypeError
+            msg["seed"] = operator.index(seed)
         resp = self._request(msg)
         if resp["type"] == "error":
             raise RemoteEnvError(resp["code"], resp["message"])

@@ -499,6 +499,27 @@ class TestSweepCommand:
         assert [row.split(",")[0] for row in lines[1:]] == \
             ["0.4", "0.6000000000000001", "0.8"]
 
+    @pytest.mark.parametrize("flags, speeds", [
+        # A ratio (max - min) / step whose fraction is 0.5 or more once
+        # swept one speed past --max, as 2.5 here, which is above u_max.
+        (["--min", "0.5", "--max", "2.4", "--step", "0.5"],
+         ["0.5", "1.0", "1.5", "2.0"]),
+        (["--min", "0.1", "--max", "0.18", "--step", "0.1"], ["0.1"]),
+        # (0.7 - 0.1) / 0.2 rounds to just under 3: 0.7 is still swept.
+        (["--min", "0.1", "--max", "0.7", "--step", "0.2"],
+         ["0.1", "0.30000000000000004", "0.5", "0.7000000000000001"]),
+    ], ids=["ratio_3.8", "ratio_0.8", "ratio_just_under_3"])
+    def test_grid_stops_at_max(self, tmp_path, flags, speeds):
+        # Each run over a 1 mm flat track ends after one step.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(
+            {"terrain": {"track_length": 0.001, "fixed_bumps": []}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), *flags,
+                     "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in lines[1:]] == speeds
+
     @pytest.mark.parametrize("run", [
         "from bumpsim.harness import sweep_velocities\n"
         "sweep_velocities([0.5, 1.0])",

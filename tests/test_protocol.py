@@ -6,6 +6,7 @@ import socket
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from bumpsim import protocol
@@ -234,6 +235,17 @@ class TestErrors:
         assert resp["type"] == "state"
         reader.close()
         sock.close()
+
+    def test_float_reset_seed_raises_as_the_local_env_does(self, server):
+        # RemoteEnv.reset used to send int(1.5) and so reset at seed 1.
+        local = make_env()
+        with pytest.raises(TypeError):
+            local.reset(seed=1.5)
+        with RemoteEnv(server.address) as remote:
+            with pytest.raises(TypeError):
+                remote.reset(seed=1.5)
+            assert remote.reset(seed=1) == local.reset(seed=1)
+            assert remote.reset(seed=np.int64(2)) == local.reset(seed=2)
 
     def test_env_error_on_reset_keeps_session_alive(self, server):
         # An invalid seed used to raise inside the session handler and kill

@@ -156,6 +156,52 @@ class TestAsymmetricCar:
             (1.2, (1.0 - 1.2) / p.tau, 0.02, -(f1 + f2) / p.m, -0.3,
              c * (p.L1 * f1 - p.L2 * f2) / p.inertia), rel=1e-12)
 
+    def test_free_decay_follows_the_linear_model(self):
+        # Small enough an offset that sin(theta) = theta to 2e-9 relative:
+        # (z, z_dot, theta, theta_dot) follows exp(A t) x0, with A from the
+        # hand-derived stiffness and damping matrices. Checked once the fast
+        # pitch mode (about -1.4e3 1/s) has died, from 50 ms on.
+        p = ASYMMETRIC
+
+        def matrix(front, rear):
+            cross = rear * p.L2 - front * p.L1
+            return np.array([[front + rear, cross],
+                             [cross, front * p.L1**2 + rear * p.L2**2]])
+
+        m_inv = np.diag([1 / p.m, 1 / p.inertia])
+        a = np.zeros((4, 4))
+        a[0, 1] = a[2, 3] = 1.0
+        a[np.ix_([1, 3], [0, 2])] = -m_inv @ matrix(p.k1, p.k2)
+        a[np.ix_([1, 3], [1, 3])] = -m_inv @ matrix(p.c1, p.c2)
+        rates, modes = np.linalg.eig(a)
+        x0 = np.array([1e-3, 0.0, 1e-4, 0.0])
+        weights = np.linalg.solve(modes, x0)
+        state = VehicleState(z=x0[0], theta=x0[2])
+        for k in range(1, 61):
+            state, _ = step_rk4(state, 0.0, p, FLAT, DT)
+            if k * DT >= 0.05:
+                want = (modes @ (np.exp(rates * k * DT) * weights)).real
+                got = np.array([state.z, state.z_dot, state.theta, state.theta_dot])
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_fourth_order_over_a_bump(self):
+        # Criterion 1 checks the order on the velocity lag alone; here the
+        # road drives both wheels. At x_dot = u_x = 1 the car crosses the
+        # bump in 1 s; 16, 32 and 64 substeps against 256 read orders of
+        # about 4.2.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 0.6, 0.05),), track_length=2.0)
+
+        def end_state(substeps):
+            state = VehicleState(x_dot=1.0)
+            for _ in range(120):
+                state, _ = step_rk4(state, 1.0, ASYMMETRIC, terrain, DT, substeps)
+            return np.array([state.z, state.z_dot, state.theta, state.theta_dot])
+
+        ref = end_state(256)
+        errors = [np.max(np.abs(end_state(n) - ref)) for n in (16, 32, 64)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert math.log2(coarse / fine) >= 3.5
+
 
 class TestStepRk4:
     def test_equilibrium_preserved(self, params):

@@ -11,14 +11,15 @@ and batch 64 (2 episodes, whose 1200 transitions wrap its 1000-row replay),
 `eval` of the seed-0 and the 2-word seed's checkpoints, constant-velocity
 `eval` on dense 12-bump tracks (once at a command above `u_max`, so every
 step is clamped), on a flat track and on a fixed two-bump track, `sweep` on
-the default track and on the fixed two-bump track, `compare --seeds 0,1`,
-and one loopback `serve` session, whose response lines are the session's
-output. The session resets at seeds 0 and 1, at the multi-word seeds
-2**32 + 1 and 2**64 + 5, and once without a seed, which continues the last
-seed's stream, then sends a bad seed and a bad action. Since `--against`
-runs the working tree's jobs and plays its session on both trees, it checks
-the track stream of one tree against the other's through the real server,
-and the 2-word seed's jobs check the networks' seeding through the CLI.
+the default track (once on a grid whose end rounds just past `--max`) and on
+the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
+session, whose response lines are the session's output. The session resets
+at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, and once
+without a seed, which continues the last seed's stream, then sends a bad
+seed and a bad action. Since `--against` runs the working tree's jobs and
+plays its session on both trees, it checks the track stream of one tree
+against the other's through the real server, and the 2-word seed's jobs
+check the networks' seeding through the CLI.
 
 A REV that git cannot archive ends the run before any job, with exit 1.
 An --allow NAME matches an output's full name or its file name. The digests
@@ -83,6 +84,9 @@ JOBS = [
     ("sweep_default", {}, ["sweep"]),
     ("sweep_two_bumps", TWO_BUMPS,
      ["sweep", "--min", "0.5", "--max", "1.5", "--step", "0.5"]),
+    # (0.7 - 0.1) / 0.2 rounds to just under 3, yet 0.7 is swept.
+    ("sweep_rounded_end", {},
+     ["sweep", "--min", "0.1", "--max", "0.7", "--step", "0.2"]),
     ("compare", COMPARE, ["compare", "--seeds", "0,1"]),
 ]
 SERVE = ("serve", DENSE)

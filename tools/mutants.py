@@ -17,7 +17,9 @@ The update mutants break the DDPG learner's mathematics (Lillicrap et al.,
 arXiv 1509.02971). The fold mutants reassociate the expressions whose signs
 are folded into constants: each rounds differently, so the bit-exact
 reference tests must catch it. The half-car mutants swap a front and a rear
-quantity, which only a car with unequal arms, springs and dampers can show.
+quantity, which only a car with unequal arms, springs and dampers can show;
+the stage mutant reads the road for RK4's second stage at the step's start,
+which costs the integrator its fourth order over a bump.
 The whole list took about 5 minutes on a 2-core host; the package does not
 import this file.
 """
@@ -73,6 +75,8 @@ MUTANTS = {
         VEHICLE, "f2 = k2 * (", "f2 = k1 * ("),
     "rear_wheel_at_front_arm": (
         VEHICLE, "road2(x + l1c, x - l2c)", "road2(x + l1c, x - l1c)"),
+    "stage2_road_at_step_start": (
+        VEHICLE, "acc(x + hh * xd, xd1", "acc(x, xd1"),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
