@@ -10,6 +10,7 @@ doubles exactly, so a loopback client is bit-identical to the in-process env.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import socket
 import threading
@@ -58,17 +59,44 @@ class RemoteEnvError(ProtocolError):
         self.message = message
 
 
-def _error(code: str, message: str) -> dict:
-    return {"type": "error", "code": code, "message": message}
+def _line(msg: dict) -> bytes:
+    """One protocol line: msg as JSON, then a newline."""
+    return (json.dumps(msg) + "\n").encode()
 
 
-def _state(obs: Observation, reward, done: bool, info: dict) -> dict:
-    """The response to a reset (reward None) or a step."""
-    return {"type": "state", "obs": obs._asdict(), "reward": reward,
-            "done": done, "info": info}
+def _error(code: str, message: str) -> bytes:
+    return _line({"type": "error", "code": code, "message": message})
 
 
-def _env_error(e: Exception) -> dict:
+# The reset and step responses, byte for byte what _line writes for them: a
+# float's %r is the repr json.dumps writes for a finite float.
+_RESET = (b'{"type": "state", "obs": {"x_dot": %r, "z_ddot_meas": %r, "p": %r}, '
+          b'"reward": null, "done": false, "info": {}}\n')
+_STEP = (b'{"type": "state", "obs": {"x_dot": %s, "z_ddot_meas": %r, "p": %s}, '
+         b'"reward": %s, "done": %s, "info": {"t": %r, "x": %r, "x_dot": %s, '
+         b'"u_x": %r, "z": %r, "theta": %r, "z_ddot_model": %r, "p": %s}}\n')
+_STEP_REQUEST = b'{"type": "step", "u_x": %r}\n'
+
+
+def _state(obs: Observation, reward, done: bool, info: dict) -> bytes:
+    """The response line to a reset (reward None, info {}) or a step."""
+    if reward is None:
+        return _RESET % obs
+    x_dot, z_ddot_meas, p = obs
+    # BumpEnv.step puts obs.x_dot and obs.p themselves into info, so each
+    # is written twice from one repr.
+    x_dot = b"%r" % x_dot
+    p = b"%r" % p
+    # The one value BumpEnv.step does not check finite: a finite
+    # acceleration deviation, squared, can overflow, and json.dumps spells
+    # that -Infinity.
+    reward = b"%r" % reward if math.isfinite(reward) else json.dumps(reward).encode()
+    return _STEP % (x_dot, z_ddot_meas, p, reward, b"true" if done else b"false",
+                    info["t"], info["x"], x_dot, info["u_x"], info["z"],
+                    info["theta"], info["z_ddot_model"], p)
+
+
+def _env_error(e: Exception) -> bytes:
     """In-band error for an exception the env raised while serving a request:
     the session stays open and the client may reset."""
     code = "DYNAMICS_ERROR" if isinstance(e, DynamicsError) else "BAD_REQUEST"
@@ -155,7 +183,7 @@ class EnvServer:
                     if not line:
                         continue
                     response, closing = self._respond(env, line)
-                conn.sendall((json.dumps(response) + "\n").encode())
+                conn.sendall(response)
                 if closing:
                     return
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
@@ -179,13 +207,13 @@ class EnvServer:
                     "VERSION_MISMATCH",
                     f"server speaks version {PROTOCOL_VERSION}",
                 ), False
-            return {
+            return _line({
                 "type": "hello_ack",
                 "version": PROTOCOL_VERSION,
                 "obs_spec": OBS_SPEC,
                 "action_spec": {"low": 0.0, "high": env.params.u_max},
                 "reward_spec": asdict(env.reward_spec),
-            }, False
+            }), False
         if kind == "reset":
             seed = msg.get("seed")
             if seed is not None and type(seed) is not int:  # nor a bool
@@ -207,8 +235,21 @@ class EnvServer:
                 return _env_error(e), False
             return _state(obs, r, done, info), False
         if kind == "close":
-            return {"type": "closed"}, True
+            return _line({"type": "closed"}), True
         return _error("BAD_REQUEST", f"unknown request type {kind!r}"), False
+
+
+def _observation(resp: dict) -> Observation:
+    return Observation(**resp["obs"])
+
+
+def _step_result(resp: dict):
+    return Observation(**resp["obs"]), resp["reward"], resp["done"], resp["info"]
+
+
+def _specs(ack: dict):
+    # The harness reads the desired velocity of the server's reward.
+    return ack["obs_spec"], ack["action_spec"], RewardSpec(**ack["reward_spec"])
 
 
 class RemoteEnv:
@@ -219,24 +260,26 @@ class RemoteEnv:
         self._reader = self._sock.makefile("rb")
         try:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            ack = self._request({"type": "hello", "version": PROTOCOL_VERSION})
-            if ack["type"] == "error" and ack.get("code") == "VERSION_MISMATCH":
-                raise VersionMismatch(ack.get("message", ""))
-            if ack["type"] != "hello_ack":
-                raise ProtocolError(f"unexpected handshake response: {ack}")
-            self.obs_spec = ack["obs_spec"]
-            self.action_spec = ack["action_spec"]
-            # The harness reads the desired velocity of the server's reward.
-            self.reward_spec = RewardSpec(**ack["reward_spec"])
+            hello = _line({"type": "hello", "version": PROTOCOL_VERSION})
+            try:
+                self.obs_spec, self.action_spec, self.reward_spec = \
+                    self._request(hello, "hello_ack", _specs)
+            except RemoteEnvError as e:
+                if e.code == "VERSION_MISMATCH":
+                    raise VersionMismatch(e.message) from None
+                raise
         except BaseException:
             # No caller gets an object to close, so close the socket here.
             self._reader.close()
             self._sock.close()
             raise
 
-    def _request(self, msg: dict) -> dict:
+    def _request(self, line: bytes, kind: str, read):
+        """Send one request line; return read(response) for a response of
+        type kind. An error response raises RemoteEnvError, and a line that
+        is not such a response, or that read() cannot read, ProtocolError."""
         try:
-            self._sock.sendall((json.dumps(msg) + "\n").encode())
+            self._sock.sendall(line)
             raw = self._reader.readline()
         except socket.timeout as e:
             raise Timeout(str(e)) from e
@@ -244,26 +287,37 @@ class RemoteEnv:
             raise ConnectionLost(str(e)) from e
         if not raw:
             raise ConnectionLost("server closed the connection")
-        return json.loads(raw)
+        try:
+            # Decoded first: json.loads(bytes) guesses UTF-16 or UTF-32 from
+            # the leading bytes.
+            resp = json.loads(raw.decode("utf-8"))
+            if resp["type"] == kind:
+                return read(resp)
+            if resp["type"] == "error":
+                error = RemoteEnvError(resp["code"], resp["message"])
+            else:
+                error = ProtocolError(f"unexpected response: {raw[:200]!r}")
+        except (ValueError, KeyError, TypeError, RecursionError) as e:
+            raise ProtocolError(f"malformed response: {raw[:200]!r}") from e
+        raise error
 
     def reset(self, seed=None) -> Observation:
         msg = {"type": "reset"}
         if seed is not None:  # an int, as BumpEnv.reset takes, or a TypeError
             msg["seed"] = operator.index(seed)
-        resp = self._request(msg)
-        if resp["type"] == "error":
-            raise RemoteEnvError(resp["code"], resp["message"])
-        return Observation(**resp["obs"])
+        return self._request(_line(msg), "state", _observation)
 
     def step(self, action: float):
-        resp = self._request({"type": "step", "u_x": float(action)})
-        if resp["type"] == "error":
-            raise RemoteEnvError(resp["code"], resp["message"])
-        return Observation(**resp["obs"]), resp["reward"], resp["done"], resp["info"]
+        u_x = float(action)
+        # json.dumps spells a non-finite u_x NaN or Infinity, which the
+        # server answers with BAD_REQUEST.
+        line = (_STEP_REQUEST % u_x if math.isfinite(u_x)
+                else _line({"type": "step", "u_x": u_x}))
+        return self._request(line, "state", _step_result)
 
     def close(self):
         try:
-            self._request({"type": "close"})
+            self._request(_line({"type": "close"}), "closed", lambda resp: None)
         except ProtocolError:
             pass
         self._reader.close()

@@ -1,13 +1,19 @@
 """TCP environment protocol tests: loopback equivalence and error handling."""
 
+import contextlib
 import gc
 import json
+import math
 import socket
+import threading
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bumpsim import protocol
 from bumpsim.env import BumpEnv, EpisodeConfig, RewardSpec
@@ -17,6 +23,7 @@ from bumpsim.protocol import (
     PROTOCOL_VERSION,
     ConnectionLost,
     EnvServer,
+    ProtocolError,
     RemoteEnv,
     RemoteEnvError,
     Timeout,
@@ -47,6 +54,48 @@ def raw_session(address):
 def send_line(sock, reader, line: str) -> dict:
     sock.sendall(line.encode() + b"\n")
     return json.loads(reader.readline())
+
+
+def json_line(msg) -> bytes:
+    """The line json.dumps writes for msg, the reference for every template."""
+    return (json.dumps(msg) + "\n").encode()
+
+
+HELLO_ACK = json_line({
+    "type": "hello_ack", "version": PROTOCOL_VERSION,
+    "obs_spec": ["x_dot", "z_ddot_meas", "p"],
+    "action_spec": {"low": 0.0, "high": 2.0},
+    "reward_spec": asdict(RewardSpec()),
+})
+
+
+@contextlib.contextmanager
+def fake_server(*replies: bytes):
+    """Address of a listener whose one session answers its i-th request line
+    with replies[i], then hangs up."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            for reply in replies:
+                if not reader.readline():
+                    return
+                conn.sendall(reply)
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        t.join(timeout=5.0)
+        listener.close()
+    assert not t.is_alive()
+
+
+def unclosed_sockets(caught) -> list:
+    gc.collect()  # an unclosed socket warns when it is collected
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestHandshake:
@@ -91,28 +140,11 @@ class TestHandshake:
         sock.close()
 
     def test_client_raises_on_version_mismatch(self):
-        import threading
-
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-
-        def old_server():
-            conn, _ = listener.accept()
-            with conn:
-                conn.makefile("rb").readline()
-                conn.sendall(json.dumps({
-                    "type": "error", "code": "VERSION_MISMATCH",
-                    "message": "server speaks version 0",
-                }).encode() + b"\n")
-
-        t = threading.Thread(target=old_server, daemon=True)
-        t.start()
-        with pytest.raises(VersionMismatch):
-            RemoteEnv(listener.getsockname())
-        t.join(timeout=5.0)
-        listener.close()
-
+        with fake_server(json_line({
+                "type": "error", "code": "VERSION_MISMATCH",
+                "message": "server speaks version 0"})) as address:
+            with pytest.raises(VersionMismatch):
+                RemoteEnv(address)
 
     def test_failed_handshake_closes_the_socket(self):
         # A listener that takes the connection and never answers.
@@ -124,10 +156,103 @@ class TestHandshake:
                 warnings.simplefilter("always", ResourceWarning)
                 with pytest.raises(Timeout):
                     RemoteEnv(listener.getsockname(), timeout=0.2)
-                gc.collect()  # an unclosed socket warns when it is collected
+                leaked = unclosed_sockets(caught)
         finally:
             listener.close()
-        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert leaked == []
+
+
+# Every finite double, with the edges of the format drawn often.
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308])
+
+
+def state_response(obs, reward, done, info) -> dict:
+    return {"type": "state", "obs": obs._asdict(), "reward": reward,
+            "done": done, "info": info}
+
+
+class TestWireBytes:
+    """The templated lines are byte for byte what json.dumps writes."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(obs=st.tuples(FINITE, FINITE, FINITE), reward=FINITE, done=st.booleans(),
+           t=FINITE, x=FINITE, u_x=FINITE, z=FINITE, theta=FINITE, z_ddot_model=FINITE)
+    def test_step_line(self, obs, reward, done, t, x, u_x, z, theta, z_ddot_model):
+        obs = protocol.Observation(*obs)
+        # As BumpEnv.step builds it: test_info_holds_the_observations_floats.
+        info = {"t": t, "x": x, "x_dot": obs.x_dot, "u_x": u_x, "z": z,
+                "theta": theta, "z_ddot_model": z_ddot_model, "p": obs.p}
+        assert protocol._state(obs, reward, done, info) == \
+            json_line(state_response(obs, reward, done, info))
+
+    @pytest.mark.parametrize("reward", [-math.inf, math.inf, math.nan])
+    def test_step_line_with_a_non_finite_reward(self, reward):
+        # A finite acceleration deviation, squared, can overflow to -inf.
+        obs = protocol.Observation(1.0, 1e200, 0.5)
+        info = {"t": 0.1, "x": 0.2, "x_dot": obs.x_dot, "u_x": 1.0, "z": 0.0,
+                "theta": -0.0, "z_ddot_model": 1e200, "p": obs.p}
+        line = protocol._state(obs, reward, True, info)
+        assert line == json_line(state_response(obs, reward, True, info))
+        assert b'"reward": ' + json.dumps(reward).encode() + b"," in line
+
+    @settings(max_examples=200, deadline=None)
+    @given(obs=st.tuples(FINITE, FINITE, FINITE))
+    def test_reset_line(self, obs):
+        obs = protocol.Observation(*obs)
+        assert protocol._state(obs, None, False, {}) == \
+            json_line(state_response(obs, None, False, {}))
+
+    def test_info_holds_the_observations_floats(self):
+        # The step template writes info's x_dot and p from the observation's
+        # repr, and its slots in this order.
+        env = make_env()
+        env.reset(seed=3)
+        previews = set()
+        for _ in range(150):
+            obs, _, _, info = env.step(1.5)
+            assert list(info) == ["t", "x", "x_dot", "u_x", "z", "theta",
+                                  "z_ddot_model", "p"]
+            assert info["x_dot"] is obs.x_dot
+            assert info["p"] is obs.p
+            previews.add(obs.p)
+        assert len(previews) > 1  # a bump came into view
+
+
+def short_episode_env():
+    return BumpEnv(episode=EpisodeConfig(max_steps=30))
+
+
+@pytest.fixture(scope="module")
+def short_episode_server():
+    s = EnvServer(short_episode_env, port=0).start()
+    yield s
+    s.shutdown()
+
+
+def bits(value):
+    """value with each float as its type and float.hex, containers kept."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return type(value), [bits(v) for v in value]
+    return type(value), value.hex() if type(value) is float else value
+
+
+class Tap:
+    """A socket that records each line a client sends."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = []
+
+    def sendall(self, data):
+        self.sent.append(data)
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
 
 
 class TestLoopbackEquivalence:
@@ -154,6 +279,22 @@ class TestLoopbackEquivalence:
                 done = ldone
                 i += 1
         remote.close()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64),
+           actions=st.lists(FINITE | st.floats(-1.0, 3.0), min_size=20, max_size=45))
+    def test_drawn_actions_bit_identical(self, short_episode_server, seed, actions):
+        # Negative, above u_max, -0.0 and subnormal actions, through the step
+        # cap (done true) and past it. == cannot tell -0.0 from 0.0 or an int
+        # from a float, so compare types and float.hex. Each step request is
+        # the line json.dumps writes.
+        local = short_episode_env()
+        with RemoteEnv(short_episode_server.address) as remote:
+            remote._sock = tap = Tap(remote._sock)
+            assert bits(remote.reset(seed=seed)) == bits(local.reset(seed=seed))
+            for a in actions:
+                assert bits(remote.step(a)) == bits(local.step(a))
+                assert tap.sent[-1] == json_line({"type": "step", "u_x": a})
 
     def test_rollout_matches_in_process(self, tmp_path):
         # A remote env used to have no reward spec, so an episode raised
@@ -274,6 +415,16 @@ class TestErrors:
         finally:
             s.shutdown()
 
+    @pytest.mark.parametrize("action", [math.nan, math.inf, -math.inf])
+    def test_remote_non_finite_action_rejected(self, server, action):
+        with RemoteEnv(server.address) as env:
+            env.reset(seed=0)
+            with pytest.raises(RemoteEnvError) as exc:
+                env.step(action)
+            assert (exc.value.code, exc.value.message) == \
+                ("BAD_REQUEST", "u_x must be a finite number")
+            env.step(1.0)
+
     def test_nan_action_rejected(self, server):
         sock, reader = raw_session(server.address)
         send_line(sock, reader, json.dumps({"type": "reset", "seed": 0}))
@@ -366,3 +517,31 @@ class TestErrors:
             with RemoteEnv(server.address) as env:
                 env.reset(seed=1)
                 env.step(0.5)
+
+
+# Each used to leak an untyped exception from RemoteEnv: JSONDecodeError,
+# KeyError, UnicodeDecodeError (json.loads took the bytes for UTF-16),
+# TypeError, KeyError and TypeError.
+MALFORMED = [b"garbage\n", b'{"type": "error"}\n', b"\xff\xfe\n", b"[1]\n",
+             b'{"type": "state"}\n', b'{"type": "state", "obs": {}}\n']
+
+
+class TestMalformedResponses:
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_step_raises_protocol_error(self, line):
+        with fake_server(HELLO_ACK, line) as address:
+            with RemoteEnv(address) as env:
+                with pytest.raises(ProtocolError) as exc:
+                    env.step(1.0)
+        assert type(exc.value) is ProtocolError
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_handshake_raises_protocol_error_and_closes(self, line):
+        with fake_server(line) as address:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ProtocolError) as exc:
+                    RemoteEnv(address)
+                leaked = unclosed_sockets(caught)
+        assert type(exc.value) is ProtocolError
+        assert leaked == []

@@ -14,12 +14,13 @@ step is clamped), on a flat track and on a fixed two-bump track, `sweep` on
 the default track (once on a grid whose end rounds just past `--max`) and on
 the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
 session, whose response lines are the session's output. The session resets
-at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, and once
-without a seed, which continues the last seed's stream, then sends a bad
-seed and a bad action. Since `--against` runs the working tree's jobs and
-plays its session on both trees, it checks the track stream of one tree
-against the other's through the real server, and the 2-word seed's jobs
-check the networks' seeding through the CLI.
+at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, once
+without a seed, which continues the last seed's stream, and at seed 3 for
+1,200 steps, which reach DENSE's step cap and so answer `"done": true`; then
+it sends a bad seed and a bad action. Since `--against` runs the working
+tree's jobs and plays its session on both trees, it checks the track stream
+of one tree against the other's through the real server, and the 2-word
+seed's jobs check the networks' seeding through the CLI.
 
 A REV that git cannot archive ends the run before any job, with exit 1.
 An --allow NAME matches an output's full name or its file name. The digests
@@ -98,6 +99,8 @@ def _session_requests(version):
     steps = [{"type": "step", "u_x": rng.uniform(0.0, 2.0)} for _ in range(150)]
     # Far enough (about 3.8 m) to cross the first bump of each dense track.
     over_a_bump = steps * 3
+    # DENSE's max_steps, about 10 m of its 20 m track.
+    to_the_step_cap = steps * 8
     return [
         {"type": "hello", "version": version},
         {"type": "reset", "seed": 0}, *steps,
@@ -107,6 +110,7 @@ def _session_requests(version):
         {"type": "reset", "seed": 2**32 + 1}, *over_a_bump,
         {"type": "reset", "seed": 2**64 + 5}, *over_a_bump,
         {"type": "reset"}, *over_a_bump,
+        {"type": "reset", "seed": 3}, *to_the_step_cap,
         {"type": "reset", "seed": -1},
         {"type": "step", "u_x": float("nan")},
         {"type": "close"},

@@ -19,7 +19,9 @@ are folded into constants: each rounds differently, so the bit-exact
 reference tests must catch it. The half-car mutants swap a front and a rear
 quantity, which only a car with unequal arms, springs and dampers can show;
 the stage mutant reads the road for RK4's second stage at the step's start,
-which costs the integrator its fourth order over a bump.
+which costs the integrator its fourth order over a bump. The step-line
+mutants break the server's fixed-template step response, which must be the
+bytes json.dumps writes.
 The whole list took about 5 minutes on a 2-core host; the package does not
 import this file.
 """
@@ -37,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DDPG = "src/bumpsim/ddpg.py"
 HARNESS = "src/bumpsim/harness.py"
+PROTOCOL = "src/bumpsim/protocol.py"
 TERRAIN = "src/bumpsim/terrain.py"
 VEHICLE = "src/bumpsim/vehicle.py"
 
@@ -77,6 +80,10 @@ MUTANTS = {
         VEHICLE, "road2(x + l1c, x - l2c)", "road2(x + l1c, x - l1c)"),
     "stage2_road_at_step_start": (
         VEHICLE, "acc(x + hh * xd, xd1", "acc(x, xd1"),
+    "step_line_done_negated": (
+        PROTOCOL, 'b"true" if done else b"false"', 'b"true" if not done else b"false"'),
+    "step_line_info_slots_swapped": (
+        PROTOCOL, '"z": %r, "theta": %r', '"theta": %r, "z": %r'),
 }
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
