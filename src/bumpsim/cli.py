@@ -88,6 +88,9 @@ def cmd_sweep(args) -> int:
     velocities = [args.min + i * args.step for i in range(math.floor(intervals) + 1)]
     resolved = cfg.load(args.config)
     params, camera = cfg.vehicle_params(resolved), cfg.camera_spec(resolved)
+    if velocities[-1] > params.u_max:  # the car would run at u_max instead
+        raise ValueError(f"--max gives a speed of {velocities[-1]} m/s, above "
+                         f"vehicle.u_max ({params.u_max} m/s)")
     reward_spec = cfg.reward_spec(resolved)
     track = cfg.fixed_track(resolved)
     cfg.echo(resolved, args.out)

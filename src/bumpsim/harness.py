@@ -229,10 +229,11 @@ def sweep_velocities(velocities, params: VehicleParams = VehicleParams(),
     """Constant-command evaluation per velocity over a single-bump track.
 
     The track is fixed, so no reset draws and no episode needs a seed.
-    Returns rows of (velocity, Metrics) sorted by velocity.
+    Returns rows of (velocity, Metrics) sorted by velocity. Each velocity
+    must lie in (0, params.u_max]: the car runs any faster command at u_max.
     """
-    if any(v <= 0.0 for v in velocities):
-        raise ValueError("sweep velocities must be positive")
+    if not all(0.0 < v <= params.u_max for v in velocities):
+        raise ValueError(f"sweep velocities must lie in (0, u_max], u_max = {params.u_max}")
     if track is None:
         track = single_bump_track()
     rows = []

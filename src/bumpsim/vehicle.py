@@ -158,6 +158,17 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     form, y + (h/2) k and y + (h/6) (k1 + 2 k2 + 2 k3 + k4), so the unrolled
     stages give the same bits as the tuple form that tests/test_vehicle.py
     keeps as its reference.
+
+    A car at rest takes a shorter path with the same bits. It applies when
+    the step's road window is the bounded one (h <= tau, finite inputs), no
+    bump reaches it (terrain.wheels returns None), and z, z_dot, theta and
+    theta_dot are each exactly +0.0. Then every force term is +0.0: the
+    slope term 0.0 * x_dot is +0.0 or -0.0, and 0.0 minus either is +0.0.
+    The equations of motion give (a, -0.0, 0.0), each stage update
+    0.0 + hh * (-0.0) stays +0.0, and the end state's z_ddot is 0.0 / -m,
+    -0.0. So the path integrates only a = (u_x - x_dot) / tau, with the
+    operations of the full loop in its order, and returns z_ddot = -0.0. A
+    -0.0 vertical slot does not qualify, since its sign can reach the result.
     """
     if not (dt > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
@@ -182,6 +193,22 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     m = dt * v + 1e-6 * (dt * v + abs(x) + L1 + L2)
     if h <= tau and abs(x) + m + v + v / tau < 1e300:  # False for NaN
         road2 = terrain.wheels(x - L2 - m, x + L1 + m)
+        # At rest on a zero road only the speed lag moves: see the docstring.
+        # max() above drops a NaN u_x, which the full loop must raise on.
+        if (road2 is None and not (z or zd or th or thd) and u_x == u_x
+                and math.copysign(1.0, z) + math.copysign(1.0, zd)
+                + math.copysign(1.0, th) + math.copysign(1.0, thd) == 4.0):
+            for _ in range(substeps):
+                a1 = (u_x - xd) / tau
+                v1 = xd + hh * a1
+                a2 = (u_x - v1) / tau
+                v2 = xd + hh * a2
+                a3 = (u_x - v2) / tau
+                v3 = xd + h * a3
+                a4 = (u_x - v3) / tau
+                x = x + h6 * (xd + 2.0 * v1 + 2.0 * v2 + v3)
+                xd = xd + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            return VehicleState(x, xd), -0.0
     else:
         road2 = terrain.wheels(-math.inf, math.inf)
     acc = _accelerations(params, road2)

@@ -520,6 +520,31 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in lines[1:]] == speeds
 
+    def test_rejects_speeds_above_u_max_before_any_output(self, tmp_path, capsys):
+        # The car runs any command above vehicle.u_max at u_max, so rows
+        # labelled 2.5 and 3.0 ran at about 2.0 m/s. The built grid is
+        # checked, not --max: test_grid_stops_at_max[ratio_3.8] passes
+        # --max 2.4 and sweeps up to 2.0.
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(
+            {"terrain": {"track_length": 0.001, "fixed_bumps": []}}))
+        flags = ["--min", "1.5", "--max", "3", "--step", "0.5"]
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), *flags,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bumpsim sweep: ") and err.count("\n") == 1
+        assert "--max" in err and "vehicle.u_max" in err
+        assert not out.exists()
+        # With the clamp raised to 3 m/s the same grid runs.
+        path.write_text(json.dumps(
+            {"terrain": {"track_length": 0.001, "fixed_bumps": []},
+             "vehicle": {"u_max": 3.0}}))
+        assert main(["sweep", "--config", str(path), *flags,
+                     "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in lines[1:]] == ["1.5", "2.0", "2.5", "3.0"]
+
     @pytest.mark.parametrize("run", [
         "from bumpsim.harness import sweep_velocities\n"
         "sweep_velocities([0.5, 1.0])",

@@ -174,6 +174,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_velocities([0.5, 0.0])
 
+    def test_rejects_velocity_above_u_max(self):
+        # The car would run 2.5 at u_max = 2.0, under 2.5's label.
+        with pytest.raises(ValueError, match="u_max"):
+            sweep_velocities([0.5, 2.5])
+
     def test_writes_csv(self, tmp_path):
         path = str(tmp_path / "sweep.csv")
         sweep_velocities([0.5], max_steps=2400, out_path=path)

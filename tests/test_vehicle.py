@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bumpsim import vehicle
 from bumpsim.env import BumpEnv, EpisodeConfig
 from bumpsim.sensors import CameraSpec, observe
 from bumpsim.terrain import FLAT, Bump, TerrainProfile, TrackSpec, random_track
@@ -465,6 +468,26 @@ EDGE_CASES = {
     "empty_window_forward_from_signed_zeros": (
         FAR, (1.0, 0.4, -0.0, -0.0, -0.0, -0.0), [0.0] * 60, VehicleParams(),
         lambda x, length: 1.0 < x < 2.0),
+    # At rest: the vertical slots are +0.0 and the road window is empty, so
+    # step_rk4 integrates the speed lag alone. Reversing, the slope term is
+    # -0.0; from x_dot = -0.0 under u_x = -0.0, u_x - x_dot is +0.0.
+    "empty_window_at_rest_reversing": (
+        FAR, (1.0, -0.4, 0.0, 0.0, 0.0, 0.0), [0.0] * 60, VehicleParams(),
+        lambda x, length: 0.0 < x < 1.0),
+    "empty_window_at_rest_from_negative_zero_x_dot": (
+        FAR, (1.0, -0.0, 0.0, 0.0, 0.0, 0.0), [-0.0] * 10 + [0.5] * 50,
+        VehicleParams(), lambda x, length: 1.0 < x < 2.0),
+    # At rest until the window first meets a bump's reach, where the road
+    # is a subnormal; from there the full loop runs.
+    "isolated_at_rest_to_first_live_window": (
+        ISOLATED, (0.0, 0.3, 0.0, 0.0, 0.0, 0.0), [0.3] * 120, VehicleParams(),
+        lambda x, length: 0.25 < x < 0.5),
+    # h > tau: at rest on an empty stretch, yet the window is the whole
+    # line, so the full loop runs.
+    "at_rest_tau_below_substep": (
+        FAR, (1.0, 0.5, 0.0, 0.0, 0.0, 0.0),
+        [float(u) for u in _RNG.uniform(0.0, 2.0, 60)], VehicleParams(tau=0.0005),
+        lambda x, length: 1.0 < x < 3.0),
 }
 EMPTY_WINDOW_CASES = [c for c in EDGE_CASES if c.startswith("empty_window")]
 
@@ -564,6 +587,45 @@ class TestFusedPathBitExact:
             assert terrain.wheels(x - params.L2 - 0.1, x + params.L1 + 0.1) is None
         assert FLAT.wheels(-math.inf, math.inf) is None
         assert terrain.wheels(-math.inf, math.inf) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(vertical=st.tuples(*[st.sampled_from([0.0, -0.0])] * 4),
+           x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 22.0)),
+           x_dot=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+           u_x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+           terrain=st.sampled_from([FLAT, FAR, ISOLATED]))
+    def test_step_from_signed_zeros_matches_reference(self, vertical, x, x_dot,
+                                                      u_x, terrain):
+        # Only +0.0 in every vertical slot takes the at-rest path; a -0.0
+        # anywhere takes the full loop. Both must give the reference's bits.
+        y = (x, x_dot, *vertical)
+        params = VehicleParams()
+        assert outcome(lambda: fused_step(y, u_x, params, terrain)) \
+            == outcome(lambda: ref_step(y, u_x, params, terrain))
+
+    def test_at_rest_step_builds_no_equations_of_motion(self, params, monkeypatch):
+        # From rest towards ISOLATED's first bump: each step on an empty
+        # window builds no equations of motion, and from the first step
+        # whose window the bump reaches on, each step builds them once.
+        built = []
+        real = vehicle._accelerations
+        monkeypatch.setattr(vehicle, "_accelerations",
+                            lambda *a: built.append(a) or real(*a))
+        state, counts = VehicleState(x_dot=0.3), []
+        for _ in range(120):
+            before = len(built)
+            state, _ = step_rk4(state, 0.3, params, ISOLATED, DT)
+            counts.append(len(built) - before)
+        resting = counts.index(1)
+        assert resting > 20 and counts == [0] * resting + [1] * (120 - resting)
+        assert state.z != 0.0
+
+    def test_at_rest_nan_command_raises(self, params):
+        # max() drops a NaN u_x from the travel bound, so the window stays
+        # bounded and empty; the at-rest path must not take it and return a
+        # NaN state where the full loop raises.
+        with pytest.raises(NonFinite, match="non-finite pitch: nan"):
+            step_rk4(VehicleState(x=1.0, x_dot=0.5), math.nan, params, FAR, DT)
 
     def test_end_state_error_is_the_one_derivatives_raises(self, params):
         # A road that is flat before a point and infinitely steep from it on.

@@ -10,9 +10,11 @@ updates, on 16x16 nets and batch 16), one `train` on the default 64x64 nets
 and batch 64 (2 episodes, whose 1200 transitions wrap its 1000-row replay),
 `eval` of the seed-0 and the 2-word seed's checkpoints, constant-velocity
 `eval` on dense 12-bump tracks (once at a command above `u_max`, so every
-step is clamped), on a flat track and on a fixed two-bump track, `sweep` on
-the default track (once on a grid whose end rounds just past `--max`) and on
-the fixed two-bump track, `compare --seeds 0,1`, and one loopback `serve`
+step is clamped), on a flat track (once at a command of 0 from an
+`initial_x_dot` of -0.5: a reversing episode whose chassis stays at rest
+throughout) and on a fixed two-bump track, `sweep` on the default track
+(once on a grid whose end rounds just past `--max`) and on the fixed
+two-bump track, `compare --seeds 0,1`, and one loopback `serve`
 session, whose response lines are the session's output. The session resets
 at seeds 0 and 1, at the multi-word seeds 2**32 + 1 and 2**64 + 5, once
 without a seed, which continues the last seed's stream, and at seed 3 for
@@ -57,6 +59,7 @@ DENSE = {"terrain": {"track_length": 20.0, "n_bumps": 12,
                      "placement_range": [2.0, 19.0]},
          "episode": {"max_steps": 1200}}
 FLAT = {"terrain": {"fixed_bumps": []}, "episode": {"max_steps": 600}}
+FLAT_REVERSING = {**FLAT, "episode": {"max_steps": 600, "initial_x_dot": -0.5}}
 TWO_BUMPS = {"terrain": {"track_length": 5.0,
                          "fixed_bumps": [{"H": 0.01, "mu": 2.0, "sigma": 0.05},
                                          {"H": 0.006, "mu": 2.6, "sigma": 0.03}]}}
@@ -81,6 +84,8 @@ JOBS = [
     ("eval_dense", DENSE, ["eval", "--constant-velocity", "1.2", "--episodes", "3"]),
     ("eval_clamped", DENSE, ["eval", "--constant-velocity", "2.5", "--episodes", "2"]),
     ("eval_flat", FLAT, ["eval", "--constant-velocity", "0.7"]),
+    # Rolling backwards to a stop, the chassis at rest the whole episode.
+    ("eval_flat_reversing", FLAT_REVERSING, ["eval", "--constant-velocity", "0"]),
     ("eval_two_bumps", TWO_BUMPS, ["eval", "--constant-velocity", "1.0"]),
     ("sweep_default", {}, ["sweep"]),
     ("sweep_two_bumps", TWO_BUMPS,

@@ -19,10 +19,12 @@ are folded into constants: each rounds differently, so the bit-exact
 reference tests must catch it. The half-car mutants swap a front and a rear
 quantity, which only a car with unequal arms, springs and dampers can show;
 the stage mutant reads the road for RK4's second stage at the step's start,
-which costs the integrator its fourth order over a bump. The step-line
-mutants break the server's fixed-template step response, which must be the
-bytes json.dumps writes.
-The whole list took about 5 minutes on a 2-core host; the package does not
+which costs the integrator its fourth order over a bump. The rest mutants
+break step_rk4's at-rest path: it takes a -0.0 vertical slot, returns +0.0
+for z_ddot, or takes a half step in its third stage; the bit-exact reference
+tests must catch each. The step-line mutants break the server's
+fixed-template step response, which must be the bytes json.dumps writes.
+The whole list took about 7 minutes on a 2-core host; the package does not
 import this file.
 """
 
@@ -80,6 +82,12 @@ MUTANTS = {
         VEHICLE, "road2(x + l1c, x - l2c)", "road2(x + l1c, x - l1c)"),
     "stage2_road_at_step_start": (
         VEHICLE, "acc(x + hh * xd, xd1", "acc(x, xd1"),
+    "rest_accepts_negative_zero": (
+        VEHICLE, "+ math.copysign(1.0, thd) == 4.0", "+ math.copysign(1.0, thd) >= -4.0"),
+    "rest_z_ddot_positive_zero": (
+        VEHICLE, "return VehicleState(x, xd), -0.0", "return VehicleState(x, xd), 0.0"),
+    "rest_stage3_half_step": (
+        VEHICLE, "v3 = xd + h * a3", "v3 = xd + hh * a3"),
     "step_line_done_negated": (
         PROTOCOL, 'b"true" if done else b"false"', 'b"true" if not done else b"false"'),
     "step_line_info_slots_swapped": (
