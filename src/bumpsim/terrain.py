@@ -51,6 +51,47 @@ def _zero_band(mu, h, two_s2, s2):
     return mu - span, mu - reach, mu + reach, mu + span
 
 
+_FLOOR = 2.0 ** 56  # F = 2^56 B; see TerrainProfile.wheels
+_TINY = sys.float_info.min
+
+
+def _deciding_bump(terms, a, b):
+    """road2.bump for a window [a, b] that several bumps' terms reach:
+    (*term_k, F_h, F_s), or None; see TerrainProfile.wheels."""
+    if not (-math.inf < a <= b < math.inf):
+        return None
+    ys = []
+    for mu, _, _, n2s2, _ in terms:
+        if not n2s2 <= -_TINY:
+            return None
+        dist = a - mu if mu < a else mu - b if mu > b else 0.0
+        ys.append(dist * dist / -n2s2)
+    k = ys.index(min(ys))
+    mu, _, _, n2s2, _ = terms[k]
+    far = max(b - mu, mu - a)
+    limit = far * far / -n2s2 + 40.0
+    bound_h = bound_s = 0.0
+    for j, (mu, h, _, _, s2) in enumerate(terms):
+        if j == k:
+            continue
+        y = ys[j]
+        # y >= 8 puts mu outside [a, b].
+        if mu < a:
+            dist, far = a - mu, b - mu
+        else:
+            dist, far = mu - b, mu - a
+        hd = h * dist
+        if not (y >= 8.0 and y >= limit and hd >= _TINY and h * far / s2 < math.inf):
+            return None
+        e = math.exp(-0.99 * y)
+        bound_h += 2.0 * h * e
+        bound_s += 2.0 * hd / s2 * e
+    floor_h, floor_s = _FLOOR * bound_h, _FLOOR * bound_s
+    if not (floor_h < math.inf and floor_s < math.inf):
+        return None
+    return (*terms[k], floor_h, floor_s)
+
+
 @dataclass(frozen=True)
 class TerrainProfile:
     """Immutable road profile: a sum of Gaussian bumps over a finite track."""
@@ -99,6 +140,32 @@ class TerrainProfile:
 
         Returns None when no bump is left: every term is +0.0 or -0.0 on the
         whole window, and road2 would return (0.0, 0.0, 0.0, 0.0).
+
+        road2.bump is None, or a bump k whose own terms give road2's values
+        wherever they pass a floor: (mu, H, -H, -2 sigma^2, sigma^2, F_h,
+        F_s). At a wheel, d = x - mu, e = exp(d * d / -2 sigma^2), and the
+        height H * e and the slope 0.0 + -H * d / sigma^2 * e, each computed
+        in road2's order, are road2's values there when each height exceeds
+        F_h and each |slope| exceeds F_s. A window left with one bump
+        carries it with floors of -inf: its sums are 0.0 plus the one term.
+        With several, bump k is the one nearest the window in units of its
+        spread, y = D^2 / 2 sigma^2 for the distance D from its centre to
+        [a, b]. Each other bump j is left out only if y_j >= 8, so that
+        |d| exp(-d^2 / 2 sigma_j^2) falls as |d| grows past D_j, and y_j is
+        at least 40 above bump k's y at the window's far end, so that the
+        floors below are likely to pass. Then its height term is at most
+        2 H_j exp(-0.99 y_j) and its slope term at most 2 H_j D_j /
+        sigma_j^2 exp(-0.99 y_j) on the whole window: the factors 0.99 and 2
+        absorb the rounding of d, d^2, the division, exp and the products.
+        B_h and B_s sum these bounds, and F = 2^56 B. A value v that passes
+        has |v| > 2^56 times the left-out terms' total, less than a quarter
+        of v's ulp, also where v is a power of two and the spacing below it
+        is half. So adding the left-out terms, before or after v, leaves v
+        unchanged, and as v is not zero, 0.0 + v is v. Bumps whose variance
+        is not a normal float, windows with an infinite or NaN end, and
+        left-out terms that could lose precision as subnormals (H_j D_j
+        below the normal range) or overflow at the window's far end carry
+        None, as do floors that are not finite.
         """
         # A list: tuple() over a generator allocates a larger tuple and
         # shrinks it, and those shrunk tuples pile up on CPython's tuple free
@@ -122,6 +189,8 @@ class TerrainProfile:
                 g2_x += nh * d2 / s2 * e2
             return g1, g1_x, g2, g2_x
 
+        road2.bump = ((*terms[0], -math.inf, -math.inf) if len(terms) == 1
+                      else _deciding_bump(terms, a, b))
         return road2
 
     def height_slope(self, x: float) -> tuple[float, float]:

@@ -87,13 +87,20 @@ def _accelerations(p: VehicleParams, road2):
     Returns acc(x, x_dot, z, z_dot, theta, theta_dot, u_x) -> (x_ddot, z_ddot,
     theta_ddot) on unpacked scalars; the other three components of the state
     derivative are the state's own rates.
+
+    When road2 carries a bump (road2.bump, see terrain.TerrainProfile.wheels),
+    acc evaluates that bump itself, with road2's operations in road2's order,
+    and calls road2 only where a value fails its floor.
     """
     L1, L2, k1, k2, c1, c2 = p.L1, p.L2, p.k1, p.k2, p.c1, p.c2
     inertia, tau = p.inertia, p.tau
     neg_m = -p.m  # x / neg_m rounds as -x / m does: rounding is sign-symmetric
-    sin, cos = math.sin, math.cos
+    sin, cos, exp = math.sin, math.cos, math.exp
     neg_half_pi, half_pi = -math.pi / 2, math.pi / 2
     flat = road2 is None
+    bump = getattr(road2, "bump", None)
+    if bump is not None:
+        mu, h, nh, n2s2, s2, floor_h, floor_s = bump
 
     def acc(x, x_dot, z, z_dot, theta, theta_dot, u_x):
         if not (neg_half_pi < theta < half_pi):
@@ -107,7 +114,24 @@ def _accelerations(p: VehicleParams, road2):
         # Road height and slope at each wheel; both axles share the chassis
         # forward speed. With |theta| < pi/2, 0 < c <= 1, so the wheels lie
         # in [x - L2, x + L1].
-        zh1, g1, zh2, g2 = (0.0, 0.0, 0.0, 0.0) if flat else road2(x + l1c, x - l2c)
+        x1, x2 = x + l1c, x - l2c
+        if bump is not None:
+            d1 = x1 - mu
+            d2 = x2 - mu
+            e1 = exp(d1 * d1 / n2s2)
+            e2 = exp(d2 * d2 / n2s2)
+            zh1 = h * e1
+            zh2 = h * e2
+            # 0.0 + turns a -0.0 slope into road2's +0.0.
+            g1 = 0.0 + nh * d1 / s2 * e1
+            g2 = 0.0 + nh * d2 / s2 * e2
+            if not (zh1 > floor_h and zh2 > floor_h
+                    and abs(g1) > floor_s and abs(g2) > floor_s):
+                zh1, g1, zh2, g2 = road2(x1, x2)
+        elif flat:
+            zh1 = g1 = zh2 = g2 = 0.0
+        else:
+            zh1, g1, zh2, g2 = road2(x1, x2)
         # Suspension forces from the deflections (measured from static
         # equilibrium) and their rates.
         f1 = k1 * ((z - L1 * s) - zh1) + c1 * ((z_dot - l1c * theta_dot) - g1 * x_dot)
@@ -189,13 +213,14 @@ def step_rk4(state: VehicleState, u_x: float, params: VehicleParams,
     # also holds the wheels of the end state, so the same road serves the
     # z_ddot returned with it.
     tau, L1, L2 = params.tau, params.L1, params.L2
-    v = max(abs(xd), abs(u_x))
+    # max() keeps its first argument when the other is a NaN; 0.0 * u_x
+    # carries a NaN command into v and adds a zero for a finite one.
+    v = max(abs(xd), abs(u_x)) + 0.0 * u_x
     m = dt * v + 1e-6 * (dt * v + abs(x) + L1 + L2)
     if h <= tau and abs(x) + m + v + v / tau < 1e300:  # False for NaN
         road2 = terrain.wheels(x - L2 - m, x + L1 + m)
         # At rest on a zero road only the speed lag moves: see the docstring.
-        # max() above drops a NaN u_x, which the full loop must raise on.
-        if (road2 is None and not (z or zd or th or thd) and u_x == u_x
+        if (road2 is None and not (z or zd or th or thd)
                 and math.copysign(1.0, z) + math.copysign(1.0, zd)
                 + math.copysign(1.0, th) + math.copysign(1.0, thd) == 4.0):
             for _ in range(substeps):

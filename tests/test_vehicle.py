@@ -621,11 +621,26 @@ class TestFusedPathBitExact:
         assert state.z != 0.0
 
     def test_at_rest_nan_command_raises(self, params):
-        # max() drops a NaN u_x from the travel bound, so the window stays
-        # bounded and empty; the at-rest path must not take it and return a
-        # NaN state where the full loop raises.
-        with pytest.raises(NonFinite, match="non-finite pitch: nan"):
-            step_rk4(VehicleState(x=1.0, x_dot=0.5), math.nan, params, FAR, DT)
+        # The at-rest path must not take a NaN command and return a NaN state
+        # where the full loop raises, with a bump on the line or none.
+        for terrain in (FAR, FLAT):
+            with pytest.raises(NonFinite, match="non-finite pitch: nan"):
+                step_rk4(VehicleState(x=1.0, x_dot=0.5), math.nan, params, terrain, DT)
+
+    @pytest.mark.parametrize("x_dot, u_x", [(0.5, math.nan), (math.nan, 0.5)],
+                             ids=["nan_command", "nan_speed"])
+    def test_nan_input_takes_the_whole_line(self, params, x_dot, u_x):
+        # max(abs(x_dot), abs(u_x)) keeps its first argument against a NaN;
+        # a NaN in either must still widen the window to the whole line.
+        windows = []
+
+        class Spy:
+            def wheels(self, a, b):
+                windows.append((a, b))
+
+        with pytest.raises(NonFinite):
+            step_rk4(VehicleState(x=1.0, x_dot=x_dot), u_x, params, Spy(), DT)
+        assert windows == [(-math.inf, math.inf)]
 
     def test_end_state_error_is_the_one_derivatives_raises(self, params):
         # A road that is flat before a point and infinitely steep from it on.
@@ -677,3 +692,198 @@ class TestFusedPathBitExact:
             obs, _, done, info = env.step(float(rng.uniform(0.0, 2.0)))
             assert bits([info["z_ddot_model"] + GRAVITY_NOMINAL]) == \
                 bits([obs.z_ddot_meas])
+
+
+class Counted:
+    """A terrain's road with each road2 call counted. road2.bump is kept,
+    or dropped to stand for a terrain whose road2 carries none."""
+
+    def __init__(self, terrain, keep_bump=True):
+        self.terrain, self.keep_bump, self.calls = terrain, keep_bump, 0
+
+    def wheels(self, a, b):
+        road2 = self.terrain.wheels(a, b)
+        if road2 is None:
+            return None
+
+        def counted(x1, x2):
+            self.calls += 1
+            return road2(x1, x2)
+
+        if self.keep_bump:
+            counted.bump = road2.bump
+        return counted
+
+
+def deciding_bump_values(bump, x1, x2):
+    """The road values that road2.bump certifies at x1 and x2, each in
+    road2's operation order, or None where one fails its floor."""
+    mu, h, nh, n2s2, s2, floor_h, floor_s = bump
+    values = []
+    for x in (x1, x2):
+        d = x - mu
+        e = math.exp(d * d / n2s2)
+        values += [h * e, 0.0 + nh * d / s2 * e]
+    zh1, g1, zh2, g2 = values
+    if zh1 > floor_h and zh2 > floor_h and abs(g1) > floor_s and abs(g2) > floor_s:
+        return values
+    return None
+
+
+def full_sums(terrain, x1, x2):
+    return (ref_height(terrain, x1), ref_slope(terrain, x1),
+            ref_height(terrain, x2), ref_slope(terrain, x2))
+
+
+# Spreads from 0.01 to 0.3, one whose variance is subnormal (1e-320) and
+# one just inside the normal range; heights from 1e-200 to 5 and near
+# overflow.
+BUMPS = st.lists(st.builds(
+    Bump,
+    height=st.one_of(st.floats(1e-200, 5.0), st.sampled_from([1e307, 1.7e308])),
+    center=st.floats(0.0, 4.0),
+    spread=st.one_of(st.floats(0.01, 0.3), st.sampled_from([1e-160, 1.5e-154]))),
+    min_size=2, max_size=6)
+
+
+def _wheel(a, b, at, bumps):
+    """A wheel position in [a, b]: a fraction of the way, or a bump's centre."""
+    inside = [bump.center for bump in bumps if a <= bump.center <= b]
+    if isinstance(at, int):
+        return inside[at % len(inside)] if inside else a
+    return min(b, a + at * (b - a))
+
+
+class TestDecidingBump:
+    @settings(max_examples=400, deadline=None)
+    @given(bumps=BUMPS, a=st.floats(-0.5, 4.5), width=st.floats(0.0, 0.5),
+           at=st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 5)),
+                       min_size=2, max_size=2))
+    def test_certified_values_are_the_full_sum(self, bumps, a, width, at):
+        terrain = TerrainProfile(bumps=tuple(bumps), track_length=4.0)
+        b = a + width
+        x1, x2 = (_wheel(a, b, w, bumps) for w in at)
+        road2 = terrain.wheels(a, b)
+        want = bits(full_sums(terrain, x1, x2))
+        if road2 is None:
+            assert want == bits((0.0,) * 4)
+            return
+        assert bits(road2(x1, x2)) == want
+        if road2.bump is not None:
+            got = deciding_bump_values(road2.bump, x1, x2)
+            assert got is None or bits(got) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(bumps=BUMPS, x=st.floats(0.0, 4.0), theta=st.floats(-0.3, 0.3),
+           rates=st.tuples(st.floats(-1e-3, 1e-3), st.floats(-0.1, 0.1),
+                           st.floats(-1.0, 1.0), st.floats(-3.0, 3.0)),
+           at_centre=st.booleans())
+    def test_derivatives_use_the_full_sum(self, bumps, x, theta, rates, at_centre):
+        # The four road values the equations of motion use, through
+        # everything that derivatives computes from them.
+        params = VehicleParams()
+        terrain = TerrainProfile(bumps=tuple(bumps), track_length=4.0)
+        if at_centre:  # the front wheel on the first bump's centre
+            theta, mu = 0.0, bumps[0].center
+            x = solve(lambda x: x + params.L1, mu, mu - params.L1) or x
+        z, z_dot, theta_dot, x_dot = rates
+        y = (x, x_dot, z, z_dot, theta, theta_dot)
+        assert outcome(lambda: derivatives(VehicleState(*y), 1.0, params, terrain)) \
+            == outcome(lambda: ref_derivatives(*y, 1.0, params, terrain))
+
+    def test_bump_dropped_exactly_at_the_limit(self):
+        # A second bump whose y is exactly 40 above the first bump's y at
+        # the window's far end is left out; one float nearer, it is kept.
+        two_s2 = 2.0 * 0.05 * 0.05
+        for i in range(200):
+            a, b = 1.9, 2.1 + i * 1e-3
+            far = max(b - 2.0, 2.0 - a)
+            limit = far * far / two_s2 + 40.0
+            mu = b + math.sqrt(limit * two_s2)
+            for _ in range(64):
+                y = (mu - b) * (mu - b) / two_s2
+                if y == limit:
+                    break
+                mu = math.nextafter(mu, math.inf if y < limit else 0.0)
+            if y == limit:
+                break
+        assert y == limit
+        carried = []
+        for mu_j in (mu, math.nextafter(mu, 0.0)):
+            terrain = TerrainProfile(bumps=(Bump(0.008, 2.0, 0.05), Bump(0.008, mu_j, 0.05)),
+                                     track_length=5.0)
+            road2 = terrain.wheels(a, b)
+            carried.append(road2.bump is not None)
+            for x1, x2 in [(a, b), (b, a), (2.0, 2.05)]:
+                want = bits(full_sums(terrain, x1, x2))
+                assert bits(road2(x1, x2)) == want
+                got = deciding_bump_values(road2.bump, x1, x2) if carried[-1] else None
+                assert got is None or bits(got) == want
+        assert carried == [True, False]
+
+    def test_second_bump_within_2_56_of_the_first_is_summed(self, params):
+        # At the front wheel (2.028) the tall bump adds about 2^-30 of the
+        # near one's height: the floors keep it summed. With 2^8 in place of
+        # 2^56 they would pass it and drop that term.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 2.0, 0.05), Bump(7.3e14, 2.576, 0.05)),
+                                 track_length=5.0)
+        road2 = terrain.wheels(1.9 - params.L2, 1.9 + params.L1)
+        x1 = 1.9 + params.L1
+        assert road2.bump is not None and road2.bump[:5] == terrain._terms[0]
+        tall = ref_height(terrain, x1) - ref_height(TerrainProfile(bumps=terrain.bumps[:1]), x1)
+        assert 2.0 ** -56 < tall / ref_height(terrain, x1) < 2.0 ** -8
+        y = (1.9, 1.0, 0.001, 0.0, 0.0, 0.0)
+        counted = Counted(terrain)
+        assert bits(derivatives(VehicleState(*y), 1.0, params, counted)) == \
+            bits(ref_derivatives(*y, 1.0, params, terrain))
+        assert counted.calls == 1
+
+    def test_zero_slope_at_a_centre_calls_road2(self, params):
+        # The second bump is so far out (y about 756) that its bounds are
+        # 0.0, so the floors are 0.0. The front wheel on the first bump's
+        # centre has a slope of 0.0, which fails the strict test, so road2
+        # gives the values; one float off the centre, the bump alone does.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 2.0, 0.05), Bump(0.008, 3.945, 0.05)),
+                                 track_length=5.0)
+        x = solve(lambda x: x + params.L1, 2.0, 2.0 - params.L1)
+        assert x is not None
+        for x, calls in [(x, 1), (math.nextafter(x, 0.0), 0)]:
+            assert terrain.wheels(x - params.L2, x + params.L1).bump[5:] == (0.0, 0.0)
+            y = (x, 1.0, 0.0, 0.0, 0.0, 0.0)
+            counted = Counted(terrain)
+            assert bits(derivatives(VehicleState(*y), 1.0, params, counted)) == \
+                bits(ref_derivatives(*y, 1.0, params, terrain))
+            assert counted.calls == calls
+
+    def test_dense_track_steps_skip_road2(self, params):
+        # On a 12-bump track most steps evaluate one bump inline and never
+        # call road2; a terrain whose road2 carries no bump is called at every
+        # stage and for the end state's z_ddot. Both give the same bits.
+        track = random_track(1, TrackSpec(track_length=20.0, n_bumps=12,
+                                          placement_range=(2.0, 19.0)))
+        inline, other = Counted(track), Counted(track, keep_bump=False)
+        start = VehicleState(x=1.5, x_dot=1.0)
+        a = b = start
+        skipped = live = 0
+        for _ in range(600):
+            before = inline.calls, other.calls
+            a, za = step_rk4(a, 1.0, params, inline, DT)
+            b, zb = step_rk4(b, 1.0, params, other, DT)
+            assert bits((*a, za)) == bits((*b, zb))
+            live += other.calls > before[1]
+            skipped += inline.calls == before[0]
+            assert other.calls - before[1] in (0, 8 * 4 + 1)
+        assert a.x > 6.0 and live > 500 and skipped > 0.6 * 600
+
+    def test_zero_slopes_past_a_bump_are_positive(self, params):
+        # Both wheels past the bump, where its exp underflows to 0.0 but
+        # inside its reach, so the window keeps it: each slope term is
+        # -H d / sigma^2 * 0.0 = -0.0, and road2's sum is +0.0. From signed
+        # zeros the sign reaches the front force and theta_ddot.
+        terrain = TerrainProfile(bumps=(Bump(0.008, 1.0, 0.05),), track_length=5.0)
+        x = 1.0 + math.sqrt(750.0 * 0.005) + params.L2
+        assert terrain.wheels(x - params.L2, x + params.L1).bump[5:] == (-math.inf,) * 2
+        y = (x, 1.0, -0.0, -0.0, 0.0, 0.0)
+        got = derivatives(VehicleState(*y), 1.0, params, terrain)
+        assert bits(got) == bits(ref_derivatives(*y, 1.0, params, terrain))
+        assert bits(got[3:]) == bits([-0.0, 0.0, -0.0])

@@ -12,7 +12,8 @@ and batch 64 (2 episodes, whose 1200 transitions wrap its 1000-row replay),
 `eval` on dense 12-bump tracks (once at a command above `u_max`, so every
 step is clamped), on a flat track (once at a command of 0 from an
 `initial_x_dot` of -0.5: a reversing episode whose chassis stays at rest
-throughout) and on a fixed two-bump track, `sweep` on the default track
+throughout), on a fixed two-bump track and on short tracks of 12 bumps
+closer than their spread, `sweep` on the default track
 (once on a grid whose end rounds just past `--max`) and on the fixed
 two-bump track, `compare --seeds 0,1`, and one loopback `serve`
 session, whose response lines are the session's output. The session resets
@@ -60,6 +61,12 @@ DENSE = {"terrain": {"track_length": 20.0, "n_bumps": 12,
          "episode": {"max_steps": 1200}}
 FLAT = {"terrain": {"fixed_bumps": []}, "episode": {"max_steps": 600}}
 FLAT_REVERSING = {**FLAT, "episode": {"max_steps": 600, "initial_x_dot": -0.5}}
+# Bumps closer than their spread, so that many road windows hold two or
+# more bumps that each matter.
+OVERLAPPING = {"terrain": {"track_length": 4.0, "n_bumps": 12,
+                           "sigma_range": [0.02, 0.08], "min_spacing": 0.05,
+                           "placement_range": [1.0, 3.0]},
+               "episode": {"max_steps": 480}}
 TWO_BUMPS = {"terrain": {"track_length": 5.0,
                          "fixed_bumps": [{"H": 0.01, "mu": 2.0, "sigma": 0.05},
                                          {"H": 0.006, "mu": 2.6, "sigma": 0.03}]}}
@@ -87,6 +94,8 @@ JOBS = [
     # Rolling backwards to a stop, the chassis at rest the whole episode.
     ("eval_flat_reversing", FLAT_REVERSING, ["eval", "--constant-velocity", "0"]),
     ("eval_two_bumps", TWO_BUMPS, ["eval", "--constant-velocity", "1.0"]),
+    ("eval_overlapping", OVERLAPPING,
+     ["eval", "--constant-velocity", "1.0", "--episodes", "3"]),
     ("sweep_default", {}, ["sweep"]),
     ("sweep_two_bumps", TWO_BUMPS,
      ["sweep", "--min", "0.5", "--max", "1.5", "--step", "0.5"]),

@@ -22,9 +22,14 @@ the stage mutant reads the road for RK4's second stage at the step's start,
 which costs the integrator its fourth order over a bump. The rest mutants
 break step_rk4's at-rest path: it takes a -0.0 vertical slot, returns +0.0
 for z_ddot, or takes a half step in its third stage; the bit-exact reference
-tests must catch each. The step-line mutants break the server's
-fixed-template step response, which must be the bytes json.dumps writes.
-The whole list took about 7 minutes on a 2-core host; the package does not
+tests must catch each. The inline mutants break the bump that the
+equations of motion evaluate themselves in place of road2: the slope keeps a
+-0.0 that road2's sum turns into +0.0, the exponent is reassociated, the
+floors that certify the left-out bumps shrink from 2^56 to 2^8 times their
+bound, or a zero slope passes a zero floor. The step-line mutants break the
+server's fixed-template step response, which must be the bytes json.dumps
+writes.
+The whole list took about 13 minutes on a 2-core host; the package does not
 import this file.
 """
 
@@ -79,7 +84,7 @@ MUTANTS = {
     "rear_spring_uses_k1": (
         VEHICLE, "f2 = k2 * (", "f2 = k1 * ("),
     "rear_wheel_at_front_arm": (
-        VEHICLE, "road2(x + l1c, x - l2c)", "road2(x + l1c, x - l1c)"),
+        VEHICLE, "x1, x2 = x + l1c, x - l2c", "x1, x2 = x + l1c, x - l1c"),
     "stage2_road_at_step_start": (
         VEHICLE, "acc(x + hh * xd, xd1", "acc(x, xd1"),
     "rest_accepts_negative_zero": (
@@ -88,6 +93,14 @@ MUTANTS = {
         VEHICLE, "return VehicleState(x, xd), -0.0", "return VehicleState(x, xd), 0.0"),
     "rest_stage3_half_step": (
         VEHICLE, "v3 = xd + h * a3", "v3 = xd + hh * a3"),
+    "inline_slope_keeps_negative_zero": (
+        VEHICLE, "g1 = 0.0 + nh * d1 / s2 * e1", "g1 = nh * d1 / s2 * e1"),
+    "inline_exponent_reassociated": (
+        VEHICLE, "e1 = exp(d1 * d1 / n2s2)", "e1 = exp(d1 / n2s2 * d1)"),
+    "floor_factor_weakened": (
+        TERRAIN, "_FLOOR = 2.0 ** 56", "_FLOOR = 2.0 ** 8"),
+    "floor_test_not_strict": (
+        VEHICLE, "abs(g1) > floor_s", "abs(g1) >= floor_s"),
     "step_line_done_negated": (
         PROTOCOL, 'b"true" if done else b"false"', 'b"true" if not done else b"false"'),
     "step_line_info_slots_swapped": (
